@@ -37,16 +37,13 @@ from .frames import (
     PTF,
     SublabellingWeights,
     extension_probability,
-    pag_subgraph_probability,
     pag_to_pgf,
-    pef_argument_probability,
     pef_from_plf,
     pgf_from_plf,
     pgf_from_ptf,
     plf_from_pef,
     plf_from_pgf,
     plf_with_semantics,
-    ptf_explicit,
     ptf_independent,
 )
 from .marginals import (

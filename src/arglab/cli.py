@@ -36,12 +36,12 @@ from .frames import (
     PEF,
     PGF,
     PLF,
+    PTF,
     SublabellingWeights,
     pag_to_pgf,
     pgf_from_ptf,
     plf_from_pef,
     plf_with_semantics,
-    ptf_explicit,
     ptf_independent,
 )
 from .marginals import (
@@ -114,6 +114,7 @@ def _build_plf(args, theory, graph: ArgumentationGraph) -> PLF:
     """Resolve the --frame option into a labelling frame."""
     semantics = Semantics(args.semantics)
     weights = _load_weights(args.weights)
+    policy = PreferencePolicy(args.policy)
     spec = args.frame
     max_args = args.max_args
 
@@ -127,20 +128,17 @@ def _build_plf(args, theory, graph: ArgumentationGraph) -> PLF:
         )
 
     if spec == "independent":
-        return pipeline(pgf_from_ptf(ptf_independent(theory), max_args=MAX_ARGUMENTS))
+        ptf = ptf_independent(theory)
+        return pipeline(pgf_from_ptf(ptf, policy=policy, max_args=MAX_ARGUMENTS))
     if ":" not in spec:
         raise DistributionError(f"bad frame spec {spec!r}")
     kind, _, file_part = spec.partition(":")
     text = Path(file_part).read_text()
     if kind == "ptf":
-        ptf = ptf_explicit(theory, parse_subset_distribution(text))
-        return pipeline(pgf_from_ptf(ptf, max_args=MAX_ARGUMENTS))
+        ptf = PTF(theory, parse_subset_distribution(text))
+        return pipeline(pgf_from_ptf(ptf, policy=policy, max_args=MAX_ARGUMENTS))
     if kind == "pgf":
-        entries = parse_subset_distribution(text)
-        probs: Dict[frozenset, Fraction] = {}
-        for subset, p in entries:
-            probs[subset] = probs.get(subset, Fraction(0)) + p
-        return pipeline(PGF(graph, probs))
+        return pipeline(PGF(graph, parse_subset_distribution(text)))
     if kind == "plf":
         entries = parse_assignment_distribution(text)
         used = {l for assignment, _ in entries for l in assignment.values()}
@@ -152,19 +150,11 @@ def _build_plf(args, theory, graph: ArgumentationGraph) -> PLF:
             label_set = LabelSet.IN_OUT_UN
         sem = semantics if label_set is not LabelSet.ON_OFF else None
         plf_spec = LabellingSpec(label_set, semantics=sem, legal_only=args.legal_only)
-        probs = {}
-        for assignment, p in entries:
-            key = Labelling.from_mapping(label_set, assignment)
-            probs[key] = probs.get(key, Fraction(0)) + p
-        if sum(probs.values()) != 1:
-            raise DistributionError("labelling probabilities do not sum to 1")
-        return PLF(graph, plf_spec, probs)
+        return PLF(
+            graph, plf_spec, [(Labelling.from_mapping(label_set, a), p) for a, p in entries]
+        )
     if kind == "pef":
-        entries = parse_subset_distribution(text)
-        probs = {}
-        for subset, p in entries:
-            probs[subset] = probs.get(subset, Fraction(0)) + p
-        return plf_from_pef(PEF(graph, probs))
+        return plf_from_pef(PEF(graph, parse_subset_distribution(text)))
     if kind == "pag":
         arg_probs = parse_argument_probabilities(text)
         pag = PAG(graph.without_sub_edges(), arg_probs)
@@ -307,7 +297,11 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    cap: int = MAX_ARGUMENTS,
+    cap_help: str = "cap on constructed arguments",
+) -> None:
     parser.add_argument("file", help="theory file (.dl)")
     parser.add_argument(
         "--policy",
@@ -315,12 +309,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=PreferencePolicy.LAST_LINK.value,
         help="how superiority is used when deriving attacks",
     )
-    parser.add_argument(
-        "--max-args",
-        type=int,
-        default=MAX_ARGUMENTS,
-        help="cap on constructed arguments",
-    )
+    parser.add_argument("--max-args", type=int, default=cap, help=cap_help)
+
+
+_ENUM_CAP_HELP = "cap on arguments in exhaustive labelling and subset enumeration"
 
 
 def _add_frame_options(parser: argparse.ArgumentParser) -> None:
@@ -336,7 +328,6 @@ def _add_frame_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--weights", help="sublabelling weights file")
     parser.add_argument("--legal-only", action="store_true")
-    parser.set_defaults(max_args=MAX_ENUM_ARGUMENTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("marginal", help="marginal probabilities")
-    _add_common(p)
+    _add_common(p, MAX_ENUM_ARGUMENTS, _ENUM_CAP_HELP)
     _add_frame_options(p)
     p.add_argument("--target", default="all", help="arg:ID, stmt:LIT or all")
     p.add_argument(
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_marginal)
 
     p = sub.add_parser("check", help="property report for a frame")
-    _add_common(p)
+    _add_common(p, MAX_ENUM_ARGUMENTS, _ENUM_CAP_HELP)
     _add_frame_options(p)
     p.set_defaults(func=cmd_check)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 
@@ -72,7 +73,7 @@ class DefeasibleTheory:
     rules: Dict[str, Rule]
     conflicts: FrozenSet[Tuple[Literal, Literal]] = frozenset()
     superiority: FrozenSet[Tuple[str, str]] = frozenset()
-    rule_probs: Dict[str, "FractionLike"] = field(default_factory=dict)
+    rule_probs: Dict[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         for stronger, weaker in self.superiority:
@@ -113,10 +114,6 @@ class DefeasibleTheory:
             ),
             rule_probs={rid: p for rid, p in self.rule_probs.items() if rid in keep},
         )
-
-
-# Type alias for documentation purposes; values are fractions.Fraction.
-FractionLike = object
 
 
 def close_conflicts(theory: DefeasibleTheory) -> FrozenSet[Tuple[Literal, Literal]]:

@@ -171,13 +171,25 @@ def _split_entry(stmt: str, lineno: int) -> Tuple[str, Fraction]:
     return key.strip(), parse_rational(value, lineno)
 
 
+def _split_top(text: str) -> List[str]:
+    """Split on the commas that lie outside parentheses, so nested ids stay whole."""
+    parts, depth = [""], 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    return parts
+
+
 def _parse_id_set(text: str, lineno: int) -> FrozenSet[str]:
     if not (text.startswith("{") and text.endswith("}")):
         raise TheoryParseError(f"expected a {{...}} set, got {text!r}", lineno, 1)
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    return frozenset(part.strip() for part in inner.split(","))
+    return frozenset(part.strip() for part in _split_top(inner))
 
 
 def parse_subset_distribution(text: str) -> List[Tuple[FrozenSet[str], Fraction]]:
@@ -196,7 +208,7 @@ def _parse_assignment(text: str, lineno: int) -> Dict[str, ArgLabel]:
     mapping: Dict[str, ArgLabel] = {}
     if not inner:
         return mapping
-    for part in inner.split(","):
+    for part in _split_top(inner):
         if "=" not in part:
             raise TheoryParseError(f"expected 'id=LABEL' in {part!r}", lineno, 1)
         arg_id, label = part.split("=", 1)

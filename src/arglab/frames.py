@@ -1,8 +1,10 @@
 """Probabilistic frames over theories, graphs and labellings.
 
-All frames carry sparse distributions with exact rational probabilities:
-only outcomes with positive probability are stored, and every distribution
-must sum to exactly 1.
+All frames carry sparse distributions with exact rational probabilities.
+Each frame's constructor takes its outcomes as a mapping or as (outcome,
+probability) pairs, merges duplicate outcomes, drops zeros, checks that the
+total is exactly 1 and stores the result read-only; every conversion below
+goes through those constructors.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -16,19 +18,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, DefeasibleTheory, Labelling, LabelSet
 from .construct import (
     MAX_ARGUMENTS,
     PreferencePolicy,
-    build_arguments,
     build_graph,
     induced_subgraph,
     is_legal,
     is_subargument_complete,
 )
-from .errors import DistributionError
+from .errors import CapExceededError, DistributionError
 from .semantics import (
     MAX_ENUM_ARGUMENTS,
     LabellingSpec,
@@ -41,8 +44,13 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _normalise(entries: Iterable[Tuple[object, Fraction]]) -> Dict[object, Fraction]:
-    """Merge duplicate outcomes, drop zeros, and check the distribution axioms."""
+def _normalise(entries) -> Mapping[object, Fraction]:
+    """Merge duplicate outcomes, drop zeros, and check the distribution axioms.
+
+    ``entries`` is a mapping or an iterable of (outcome, probability) pairs.
+    """
+    if isinstance(entries, Mapping):
+        entries = entries.items()
     probs: Dict[object, Fraction] = {}
     for key, p in entries:
         if p < 0:
@@ -53,7 +61,13 @@ def _normalise(entries: Iterable[Tuple[object, Fraction]]) -> Dict[object, Fract
     total = sum(probs.values(), ZERO)
     if total != 1:
         raise DistributionError(f"probabilities sum to {total}, expected 1")
-    return probs
+    return MappingProxyType(probs)
+
+
+def _check_subsets(probs: Mapping, known: Mapping[str, object], message: str) -> None:
+    for subset in probs:
+        if not subset <= known.keys():
+            raise DistributionError(message.format(sorted(subset)))
 
 
 @dataclass(frozen=True)
@@ -64,16 +78,26 @@ class PTF:
     probs: Mapping[FrozenSet[str], Fraction]
 
     def __post_init__(self):
-        rules = set(self.theory.rules)
-        for subset in self.probs:
-            if not subset <= rules:
-                raise DistributionError(f"subset {sorted(subset)} mentions unknown rules")
+        object.__setattr__(self, "probs", _normalise(self.probs))
+        _check_subsets(self.probs, self.theory.rules, "subset {} mentions unknown rules")
 
 
-def ptf_explicit(
-    theory: DefeasibleTheory, entries: Iterable[Tuple[FrozenSet[str], Fraction]]
-) -> PTF:
-    return PTF(theory, _normalise(entries))
+def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fraction]]:
+    """Subsets under independent inclusion, each item present with its probability.
+
+    Only items with 0 < p < 1 are branched on: the others are in every subset
+    or in none, so 2^k subsets are visited for k uncertain items.
+    """
+    certain = frozenset(i for i, p in items.items() if p == 1)
+    uncertain = sorted(i for i, p in items.items() if 0 < p < 1)
+    for bits in itertools.product((False, True), repeat=len(uncertain)):
+        subset = set(certain)
+        p = ONE
+        for item, present in zip(uncertain, bits):
+            if present:
+                subset.add(item)
+            p *= items[item] if present else 1 - items[item]
+        yield frozenset(subset), p
 
 
 def ptf_independent(theory: DefeasibleTheory) -> PTF:
@@ -84,25 +108,7 @@ def ptf_independent(theory: DefeasibleTheory) -> PTF:
     for rid, p in theory.rule_probs.items():
         if not 0 <= p <= 1:
             raise DistributionError(f"p({rid}) = {p} outside [0, 1]")
-    certain = frozenset(
-        rid for rid in theory.rules if theory.rule_probs.get(rid, ONE) == 1
-    )
-    variable = sorted(
-        rid for rid in theory.rules if 0 < theory.rule_probs.get(rid, ONE) < 1
-    )
-    entries = []
-    for bits in itertools.product((False, True), repeat=len(variable)):
-        subset = set(certain)
-        p = ONE
-        for rid, present in zip(variable, bits):
-            q = theory.rule_probs[rid]
-            if present:
-                subset.add(rid)
-                p *= q
-            else:
-                p *= 1 - q
-        entries.append((frozenset(subset), p))
-    return PTF(theory, _normalise(entries))
+    return PTF(theory, _product({rid: theory.rule_probs.get(rid, ONE) for rid in theory.rules}))
 
 
 @dataclass(frozen=True)
@@ -113,12 +119,8 @@ class PGF:
     probs: Mapping[FrozenSet[str], Fraction]
 
     def __post_init__(self):
-        ids = set(self.graph.arguments)
-        for subset in self.probs:
-            if not subset <= ids:
-                raise DistributionError(
-                    f"subset {sorted(subset)} mentions unknown arguments"
-                )
+        object.__setattr__(self, "probs", _normalise(self.probs))
+        _check_subsets(self.probs, self.graph.arguments, "subset {} mentions unknown arguments")
 
 
 @dataclass(frozen=True)
@@ -130,15 +132,26 @@ class PLF:
     probs: Mapping[Labelling, Fraction]
 
     def __post_init__(self):
-        ids = set(self.graph.arguments)
+        object.__setattr__(self, "probs", _normalise(self.probs))
+        ids = self.graph.arguments.keys()
         for labelling in self.probs:
             if labelling.label_set is not self.spec.label_set:
                 raise DistributionError("labelling outcome has the wrong label set")
-            if set(labelling.mapping) != ids:
+            if {a for a, _ in labelling.entries} != ids:
                 raise DistributionError("labelling outcome is not total over the graph")
 
     def support(self) -> List[Labelling]:
         return sorted(self.probs, key=Labelling.sort_key)
+
+    @cached_property
+    def marginals(self) -> Dict[str, Dict[ArgLabel, Fraction]]:
+        """Probability of each label per argument id; labels never carried are absent."""
+        table: Dict[str, Dict[ArgLabel, Fraction]] = {a: {} for a in self.graph.arguments}
+        for labelling, p in self.probs.items():
+            for arg_id, label in labelling.entries:
+                row = table[arg_id]
+                row[label] = row.get(label, ZERO) + p
+        return table
 
 
 @dataclass(frozen=True)
@@ -149,12 +162,9 @@ class PEF:
     probs: Mapping[FrozenSet[str], Fraction]
 
     def __post_init__(self):
-        ids = set(self.graph.arguments)
-        for subset in self.probs:
-            if not subset <= ids:
-                raise DistributionError(
-                    f"believed set {sorted(subset)} mentions unknown arguments"
-                )
+        object.__setattr__(self, "probs", _normalise(self.probs))
+        message = "believed set {} mentions unknown arguments"
+        _check_subsets(self.probs, self.graph.arguments, message)
 
 
 @dataclass(frozen=True)
@@ -193,34 +203,51 @@ def pgf_from_ptf(
 
     Each rule subset maps to the set of arguments its subtheory generates; the
     mapping is neither injective nor surjective in general, so probabilities
-    accumulate.  The carrier graph is built from the full theory.
+    accumulate.  The carrier graph is built from the full theory.  Since an
+    argument's construction depends only on the rules it uses, the subtheory
+    of rule subset S generates exactly the graph arguments A with
+    rules(A) <= S.
     """
     graph = build_graph(ptf.theory, policy=policy, max_args=max_args)
-    entries = []
-    for subset, p in ptf.probs.items():
-        sub_args = build_arguments(ptf.theory.restricted_to(subset), max_args=max_args)
-        entries.append((frozenset(sub_args), p))
-    return PGF(graph, _normalise(entries))
+    used = [(a, arg.rules()) for a, arg in graph.arguments.items()]
+    sets = ((frozenset(a for a, rules in used if rules <= s), p) for s, p in ptf.probs.items())
+    return PGF(graph, sets)
+
+
+def _plf_from_sets(
+    graph: ArgumentationGraph,
+    probs: Mapping[FrozenSet[str], Fraction],
+    label_set: LabelSet,
+    member: ArgLabel,
+    other: ArgLabel,
+) -> PLF:
+    """Labelling frame marking each outcome's members ``member``, the rest ``other``."""
+
+    def labelling(subset: FrozenSet[str]) -> Labelling:
+        mapping = {a: member if a in subset else other for a in graph.arguments}
+        return Labelling.from_mapping(label_set, mapping)
+
+    return PLF(graph, LabellingSpec(label_set), ((labelling(s), p) for s, p in probs.items()))
+
+
+def _sets_from_plf(
+    plf: PLF, label_set: LabelSet, member: ArgLabel, name: str
+) -> Iterator[Tuple[FrozenSet[str], Fraction]]:
+    """The ``member``-labelled set of each outcome; inverse of :func:`_plf_from_sets`."""
+    if plf.spec.label_set is not label_set:
+        labels = ", ".join(l.value for l in sorted(label_set.labels, key=lambda l: l.rank))
+        raise DistributionError(f"{name} needs an {{{labels}}} labelling frame")
+    return ((l.with_label(member), p) for l, p in plf.probs.items())
 
 
 def plf_from_pgf(pgf: PGF) -> PLF:
     """The {ON, OFF} labelling frame marking membership of each subgraph."""
-    spec = LabellingSpec(LabelSet.ON_OFF)
-    entries = []
-    for subset, p in pgf.probs.items():
-        mapping = {
-            a: (ArgLabel.ON if a in subset else ArgLabel.OFF) for a in pgf.graph.arguments
-        }
-        entries.append((Labelling.from_mapping(LabelSet.ON_OFF, mapping), p))
-    return PLF(pgf.graph, spec, _normalise(entries))
+    return _plf_from_sets(pgf.graph, pgf.probs, LabelSet.ON_OFF, ArgLabel.ON, ArgLabel.OFF)
 
 
 def pgf_from_plf(plf: PLF) -> PGF:
     """Inverse of :func:`plf_from_pgf`; requires an {ON, OFF} frame."""
-    if plf.spec.label_set is not LabelSet.ON_OFF:
-        raise DistributionError("pgf_from_plf needs an {ON, OFF} labelling frame")
-    entries = [(l.with_label(ArgLabel.ON), p) for l, p in plf.probs.items()]
-    return PGF(plf.graph, _normalise(entries))
+    return PGF(plf.graph, _sets_from_plf(plf, LabelSet.ON_OFF, ArgLabel.ON, "pgf_from_plf"))
 
 
 @dataclass(frozen=True)
@@ -301,56 +328,27 @@ def plf_with_semantics(
         inner = enumerate_labellings(sub, inner_spec, max_args=max_args)
         for labelling, w in zip(inner, weights.weights_for(inner)):
             entries.append((combine_with_off(pgf.graph, labelling), p * w))
-    return PLF(pgf.graph, spec, _normalise(entries))
+    return PLF(pgf.graph, spec, entries)
 
 
 def pef_from_plf(plf: PLF) -> PEF:
     """Believed sets are the IN sets of an {IN, OUT, UN} frame."""
-    if plf.spec.label_set is not LabelSet.IN_OUT_UN:
-        raise DistributionError("pef_from_plf needs an {IN, OUT, UN} labelling frame")
-    entries = [(l.with_label(ArgLabel.IN), p) for l, p in plf.probs.items()]
-    return PEF(plf.graph, _normalise(entries))
+    return PEF(plf.graph, _sets_from_plf(plf, LabelSet.IN_OUT_UN, ArgLabel.IN, "pef_from_plf"))
 
 
 def plf_from_pef(pef: PEF) -> PLF:
     """Believed arguments become IN, everything else OUT."""
-    spec = LabellingSpec(LabelSet.IN_OUT_UN)
-    entries = []
-    for subset, p in pef.probs.items():
-        mapping = {
-            a: (ArgLabel.IN if a in subset else ArgLabel.OUT) for a in pef.graph.arguments
-        }
-        entries.append((Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping), p))
-    return PLF(pef.graph, spec, _normalise(entries))
-
-
-def pef_argument_probability(pef: PEF, arg_id: str) -> Fraction:
-    if arg_id not in pef.graph.arguments:
-        raise KeyError(arg_id)
-    return sum((p for subset, p in pef.probs.items() if arg_id in subset), ZERO)
-
-
-def pag_subgraph_probability(pag: PAG, subset: FrozenSet[str]) -> Fraction:
-    p = ONE
-    for arg_id in pag.graph.arguments:
-        q = pag.arg_probs[arg_id]
-        p *= q if arg_id in subset else 1 - q
-    return p
+    return _plf_from_sets(pef.graph, pef.probs, LabelSet.IN_OUT_UN, ArgLabel.IN, ArgLabel.OUT)
 
 
 def pag_to_pgf(pag: PAG, max_args: int = MAX_ENUM_ARGUMENTS) -> PGF:
-    ids = sorted(pag.graph.arguments)
-    if len(ids) > max_args:
-        from .errors import CapExceededError
-
+    """Subgraph distribution of independent argument presence."""
+    n = len(pag.graph.arguments)
+    if n > max_args:
         raise CapExceededError(
-            f"{len(ids)} arguments exceeds the subset enumeration cap of {max_args}"
+            f"{n} arguments exceeds the subset enumeration cap of {max_args}"
         )
-    entries = []
-    for bits in itertools.product((False, True), repeat=len(ids)):
-        subset = frozenset(a for a, b in zip(ids, bits) if b)
-        entries.append((subset, pag_subgraph_probability(pag, subset)))
-    return PGF(pag.graph, _normalise(entries))
+    return PGF(pag.graph, _product(pag.arg_probs))
 
 
 def extension_probability(

@@ -29,9 +29,8 @@ _COMPLETE_FAMILY = {
 
 
 def argument_label_probability(plf: PLF, arg_id: str, label: ArgLabel) -> Fraction:
-    if arg_id not in plf.graph.arguments:
-        raise KeyError(arg_id)
-    return sum((p for l, p in plf.probs.items() if l.label(arg_id) is label), ZERO)
+    """Read off the frame's marginal table; raises KeyError for unknown ids."""
+    return plf.marginals[arg_id].get(label, ZERO)
 
 
 def joint_probability(plf: PLF, assignment: Mapping[str, ArgLabel]) -> Fraction:
@@ -76,10 +75,9 @@ def statement_label(
     is OUT; ``off`` when all of them are OFF; ``unp`` when no argument
     concludes the statement at all.
     """
+    mapping = labelling.mapping
     labels = [
-        labelling.label(a.canonical_id)
-        for a in graph.arguments.values()
-        if a.conclusion == statement
+        mapping[a.canonical_id] for a in graph.arguments.values() if a.conclusion == statement
     ]
     if scheme is StatementScheme.BIVALENT:
         return StatementLabel.IN if ArgLabel.IN in labels else StatementLabel.NO

@@ -10,6 +10,7 @@ from arglab import (
     PAG,
     PEF,
     PLF,
+    PTF,
     ArgLabel,
     Justification,
     Labelling,
@@ -31,7 +32,6 @@ from arglab import (
     plf_from_pef,
     plf_from_pgf,
     plf_with_semantics,
-    ptf_explicit,
     ptf_independent,
     statement_label_probability,
 )
@@ -71,7 +71,7 @@ def test_criterion_2_grounded_preferred_stable_agree(running_graph):
 
 
 def test_criterion_3_subtheory_distribution_pushforward(chain_theory):
-    pgf = pgf_from_ptf(ptf_explicit(chain_theory, CHAIN_PTF))
+    pgf = pgf_from_ptf(PTF(chain_theory, CHAIN_PTF))
     h12, h2, h4 = frozenset(), frozenset({C_A, C_B, C_AB, C_BC}), frozenset({C_A, C_B, C_AB})
     assert pgf.probs.get(h12, F(0)) == F(4, 16)
     assert pgf.probs.get(h2, F(0)) == F(0)

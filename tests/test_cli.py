@@ -4,7 +4,7 @@ import pytest
 
 from arglab.cli import main
 
-from conftest import A_B, A_B1, A_C, A_D, MUTUAL, RUNNING_EXAMPLE
+from conftest import A_B, A_B1, A_B2, A_C, A_D, CHAIN, MUTUAL, RUNNING_EXAMPLE
 
 
 @pytest.fixture
@@ -158,6 +158,53 @@ def test_marginal_pgf_and_pag_frames(mutual_file, tmp_path, capsys):
     assert code == 0
     labels = json.loads(out)["arguments"][0]["labels"]
     assert labels["UN"]["num"] == 1
+
+
+def test_marginal_pgf_file_with_nested_ids(theory_file, tmp_path, capsys):
+    pgf_file = tmp_path / "pgf.dl"
+    pgf_file.write_text(f"{{{A_B1}, {A_B2}, {A_B}}} : 1.\n")
+    code, out = run(
+        capsys, "marginal", theory_file, "--frame", f"pgf:{pgf_file}", "--target", f"arg:{A_B}"
+    )
+    assert code == 0
+    labels = json.loads(out)["arguments"][0]["labels"]
+    assert labels["IN"]["num"] == 1 and labels["IN"]["den"] == 1
+
+
+def test_pgf_zero_lines_are_dropped(tmp_path, capsys):
+    theory = tmp_path / "chain.dl"
+    theory.write_text(CHAIN)
+    pgf_file = tmp_path / "pgf.dl"
+    lines = "{r1(), r3(r1())} : 1/2.\n{r2()} : 1/2.\n"
+    argv = ["marginal", str(theory), "--frame", f"pgf:{pgf_file}"]
+    # {r4(r2())} lacks its subargument r2(), which only matters with mass on it
+    pgf_file.write_text(lines + "{r4(r2())} : 0.\n")
+    code, with_zero = run(capsys, *argv)
+    assert code == 0
+    pgf_file.write_text(lines)
+    assert run(capsys, *argv) == (0, with_zero)
+
+
+# ra outranks rc: under last-link only ra attacks, with no preferences the
+# two facts attack each other and grounded semantics leaves ra undecided.
+POLICY_THEORY = "ra : => b.\nrc : => -b.\nra > rc.\np(ra) = 1/2.\n"
+
+
+@pytest.mark.parametrize("policy,label", [("last_link", "IN"), ("none", "UN")])
+def test_policy_reaches_rule_subset_frames(tmp_path, capsys, policy, label):
+    theory = tmp_path / "policy.dl"
+    theory.write_text(POLICY_THEORY)
+    ptf_file = tmp_path / "ptf.dl"
+    ptf_file.write_text("{ra, rc} : 1/2.\n{rc} : 1/2.\n")
+    for frame in ("independent", f"ptf:{ptf_file}"):
+        code, out = run(
+            capsys, "marginal", str(theory), "--policy", policy, "--frame", frame,
+            "--target", "arg:ra()",
+        )
+        assert code == 0
+        labels = json.loads(out)["arguments"][0]["labels"]
+        assert labels[label] == {"num": 1, "den": 2, "approx": "0.500000"}
+        assert labels["OFF"] == {"num": 1, "den": 2, "approx": "0.500000"}
 
 
 def test_check_flags_incoherent_pef(mutual_file, tmp_path, capsys):

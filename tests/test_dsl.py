@@ -132,6 +132,18 @@ def test_assignment_distribution_files():
         parse_assignment_distribution("{rb()} : 1.\n")
 
 
+def test_nested_ids_round_trip(running_graph):
+    ids = running_graph.ids()
+    assert any("," in a for a in ids)
+    subset_text = "{" + ", ".join(ids) + "} : 1.\n"
+    assert parse_subset_distribution(subset_text) == [(frozenset(ids), Fraction(1))]
+    assignment = {a: ArgLabel.IN for a in ids}
+    assignment_text = "{" + ", ".join(f"{a}={l.value}" for a, l in assignment.items()) + "} : 1.\n"
+    assert parse_assignment_distribution(assignment_text) == [(assignment, Fraction(1))]
+    for a in ids:
+        assert parse_subset_distribution(f"{{{a}}} : 1.") == [(frozenset({a}), Fraction(1))]
+
+
 def test_argument_probability_files():
     probs = parse_argument_probabilities("rb() : 1/2.\nrc() : 0.5. # half\n")
     assert probs == {"rb()": Fraction(1, 2), "rc()": Fraction(1, 2)}

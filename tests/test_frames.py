@@ -7,22 +7,22 @@ from arglab import (
     PAG,
     PEF,
     PGF,
+    PLF,
+    PTF,
     ArgLabel,
     DistributionError,
     Semantics,
     SublabellingWeights,
+    argument_label_probability,
     extension_probability,
-    pag_subgraph_probability,
     pag_to_pgf,
     parse_theory,
-    pef_argument_probability,
     pef_from_plf,
     pgf_from_plf,
     pgf_from_ptf,
     plf_from_pef,
     plf_from_pgf,
     plf_with_semantics,
-    ptf_explicit,
     ptf_independent,
 )
 from arglab.construct import is_legal
@@ -84,7 +84,7 @@ CHAIN_PTF = [
 
 
 def test_pgf_from_ptf_pushforward(chain_theory):
-    pgf = pgf_from_ptf(ptf_explicit(chain_theory, CHAIN_PTF))
+    pgf = pgf_from_ptf(PTF(chain_theory, CHAIN_PTF))
     expect = {
         fs(C_A, C_B, C_AB, C_BC, C_ABC): F(1, 16),
         fs(C_A, C_B, C_AB): F(1, 8),
@@ -103,13 +103,13 @@ def test_pgf_from_ptf_pushforward(chain_theory):
 
 
 def test_pgf_support_is_legal(chain_theory):
-    pgf = pgf_from_ptf(ptf_explicit(chain_theory, CHAIN_PTF))
+    pgf = pgf_from_ptf(PTF(chain_theory, CHAIN_PTF))
     for subset in pgf.probs:
         assert is_legal(pgf.graph, subset)
 
 
 def test_pgf_plf_round_trip(chain_theory):
-    pgf = pgf_from_ptf(ptf_explicit(chain_theory, CHAIN_PTF))
+    pgf = pgf_from_ptf(PTF(chain_theory, CHAIN_PTF))
     plf = plf_from_pgf(pgf)
     assert dict(pgf_from_plf(plf).probs) == dict(pgf.probs)
     for labelling in plf.probs:
@@ -190,9 +190,9 @@ def test_plf_with_semantics_rejects_incomplete_subgraphs(chain_graph):
 
 def test_pef_round_trip_and_marginal(mutual_graph):
     pef = PEF(mutual_graph, {fs("rb()"): F(2, 5), fs("rc()"): F(3, 5)})
-    assert pef_argument_probability(pef, "rb()") == F(2, 5)
-    assert pef_argument_probability(pef, "rc()") == F(3, 5)
     plf = plf_from_pef(pef)
+    assert argument_label_probability(plf, "rb()", ArgLabel.IN) == F(2, 5)
+    assert argument_label_probability(plf, "rc()", ArgLabel.IN) == F(3, 5)
     assert dict(pef_from_plf(plf).probs) == dict(pef.probs)
     # believed arguments are IN, everything else OUT
     for labelling, p in plf.probs.items():
@@ -219,9 +219,9 @@ def test_pag_subgraph_probability(mutual_graph):
         mutual_graph.without_sub_edges(),
         {"rb()": F(1, 2), "rc()": F(1, 3)},
     )
-    assert pag_subgraph_probability(pag, fs("rb()")) == F(1, 3)
-    assert pag_subgraph_probability(pag, fs("rb()", "rc()")) == F(1, 6)
     pgf = pag_to_pgf(pag)
+    assert pgf.probs[fs("rb()")] == F(1, 3)
+    assert pgf.probs[fs("rb()", "rc()")] == F(1, 6)
     assert sum(pgf.probs.values()) == 1
 
 
@@ -241,13 +241,29 @@ def test_pag_extension_probability(mutual_graph):
 def test_distribution_validation(mutual_graph):
     theory = parse_theory("r1 : => a.\n")
     with pytest.raises(DistributionError):
-        ptf_explicit(theory, [(fs("r1"), F(1, 2))])  # does not sum to 1
+        PTF(theory, [(fs("r1"), F(1, 2))])  # does not sum to 1
     with pytest.raises(DistributionError):
-        ptf_explicit(theory, [(fs("r1"), F(3, 2)), (fs(), F(-1, 2))])
+        PTF(theory, [(fs("r1"), F(3, 2)), (fs(), F(-1, 2))])
     with pytest.raises(DistributionError):
-        ptf_explicit(theory, [(fs("r9"), F(1))])  # unknown rule
+        PTF(theory, [(fs("r9"), F(1))])  # unknown rule
     with pytest.raises(DistributionError):
         PGF(mutual_graph, {fs("nope()"): F(1)})
+    # every frame constructor checks the total, however it is called
+    with pytest.raises(DistributionError):
+        PGF(mutual_graph, {fs("rb()"): F(1, 2)})
+    with pytest.raises(DistributionError):
+        PEF(mutual_graph, {fs("rb()"): F(7)})
+    on_off = plf_from_pgf(PGF(mutual_graph, {fs("rb()"): F(1)}))
+    (labelling,) = on_off.probs
+    with pytest.raises(DistributionError):
+        PLF(mutual_graph, on_off.spec, {labelling: F(2)})
+    with pytest.raises(DistributionError):
+        PLF(mutual_graph, on_off.spec, [(labelling, F(1, 2)), (labelling, F(1, 3))])
+    # duplicates merge, zeros drop, and the stored distribution is read-only
+    pgf = PGF(mutual_graph, [(fs("rb()"), F(1, 2)), (fs("rb()"), F(1, 2)), (fs(), F(0))])
+    assert dict(pgf.probs) == {fs("rb()"): F(1)}
+    with pytest.raises(TypeError):
+        pgf.probs[fs()] = F(0)
     with pytest.raises(DistributionError):
         PAG(mutual_graph, {"rb()": F(1)})  # missing an argument
     with pytest.raises(DistributionError):
