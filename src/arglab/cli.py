@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, Literal
+from .core import ArgLabel, Labelling, LabelSet, Literal
 from .construct import (
     MAX_ARGUMENTS,
     PreferencePolicy,
@@ -110,8 +110,12 @@ def _load_weights(path: Optional[str]) -> Optional[SublabellingWeights]:
     return SublabellingWeights.from_entries(entries)
 
 
-def _build_plf(args, theory, graph: ArgumentationGraph) -> PLF:
-    """Resolve the --frame option into a labelling frame."""
+def _build_plf(args, theory) -> PLF:
+    """Resolve the --frame option into a labelling frame.
+
+    Rule-subset frames push the theory forward and build their own graph; the
+    file-based frames over arguments get one built here.
+    """
     semantics = Semantics(args.semantics)
     weights = _load_weights(args.weights)
     policy = PreferencePolicy(args.policy)
@@ -137,6 +141,7 @@ def _build_plf(args, theory, graph: ArgumentationGraph) -> PLF:
     if kind == "ptf":
         ptf = PTF(theory, parse_subset_distribution(text))
         return pipeline(pgf_from_ptf(ptf, policy=policy, max_args=MAX_ARGUMENTS))
+    graph = build_graph(theory, policy=policy, max_args=MAX_ARGUMENTS)
     if kind == "pgf":
         return pipeline(PGF(graph, parse_subset_distribution(text)))
     if kind == "plf":
@@ -260,9 +265,7 @@ def _marginal_body(args, plf: PLF) -> Dict[str, object]:
 
 def cmd_marginal(args) -> int:
     path = Path(args.file)
-    theory = _load_theory(path)
-    graph = build_graph(theory, policy=PreferencePolicy(args.policy), max_args=MAX_ARGUMENTS)
-    plf = _build_plf(args, theory, graph)
+    plf = _build_plf(args, _load_theory(path))
     body = {"frame": args.frame, "semantics": args.semantics}
     body.update(_marginal_body(args, plf))
     _emit(_report("marginal", path, body))
@@ -272,8 +275,7 @@ def cmd_marginal(args) -> int:
 def cmd_check(args) -> int:
     path = Path(args.file)
     theory = _load_theory(path)
-    graph = build_graph(theory, policy=PreferencePolicy(args.policy), max_args=MAX_ARGUMENTS)
-    plf = _build_plf(args, theory, graph)
+    plf = _build_plf(args, theory)
     report = check_properties(plf, theory)
     body = {
         "frame": args.frame,
@@ -290,7 +292,7 @@ def cmd_check(args) -> int:
             for r in report.results
         ],
         "justification": {
-            a: justification_from_plf(plf, a).value for a in graph.ids()
+            a: justification_from_plf(plf, a).value for a in plf.graph.ids()
         },
     }
     _emit(_report("check", path, body))

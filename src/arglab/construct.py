@@ -73,7 +73,7 @@ def derive_attacks(
     arguments: Dict[str, Argument],
     policy: PreferencePolicy = PreferencePolicy.LAST_LINK,
 ) -> FrozenSet[Tuple[str, str]]:
-    """Attack pairs (attacker id, target id).
+    """Attack pairs (attacker id, target id), attackers drawn from ``arguments``.
 
     B attacks A when B rebuts or undercuts some subargument A' of A:
 
@@ -81,28 +81,48 @@ def derive_attacks(
     * undercut: conc(B) is a naf premise of A's subargument's top rule
       (preference plays no role).
 
-    Attacks on a subargument automatically reach every superargument, since
-    every A containing A' is targeted.
+    So A's attackers are the direct attackers of its own top inference plus
+    the attackers of its direct subarguments.  Direct attackers are looked up
+    by conclusion, the attacker sets are propagated up the argument trees and
+    memoised per canonical id, and subarguments missing from ``arguments``
+    are walked all the same.
     """
-    conflicts = close_conflicts(theory)
+    rebutting: Dict[Literal, List[Literal]] = {}
+    for attacking, attacked in close_conflicts(theory):
+        rebutting.setdefault(attacked, []).append(attacking)
+    by_conclusion: Dict[Literal, List[Argument]] = {}
+    for arg in arguments.values():
+        by_conclusion.setdefault(arg.conclusion, []).append(arg)
 
     def preferred(x: Argument, y: Argument) -> bool:
         if policy is PreferencePolicy.NONE:
             return False
         return (x.top_rule, y.top_rule) in theory.superiority
 
-    attacks: Set[Tuple[str, str]] = set()
-    for target in arguments.values():
-        for sub in target.subarguments():
-            for attacker in arguments.values():
-                undercuts = attacker.conclusion in sub.naf_premises
-                rebuts = (
-                    attacker.conclusion,
-                    sub.conclusion,
-                ) in conflicts and not preferred(sub, attacker)
-                if undercuts or rebuts:
-                    attacks.add((attacker.canonical_id, target.canonical_id))
-    return frozenset(attacks)
+    memo: Dict[str, FrozenSet[str]] = {}
+
+    def attackers(arg: Argument) -> FrozenSet[str]:
+        found = memo.get(arg.canonical_id)
+        if found is None:
+            direct = {
+                b.canonical_id
+                for premise in arg.naf_premises
+                for b in by_conclusion.get(premise, ())
+            }
+            for literal in rebutting.get(arg.conclusion, ()):
+                for b in by_conclusion.get(literal, ()):
+                    if not preferred(arg, b):
+                        direct.add(b.canonical_id)
+            for child in arg.direct_subs:
+                direct |= attackers(child)
+            found = memo[arg.canonical_id] = frozenset(direct)
+        return found
+
+    return frozenset(
+        (b, target.canonical_id)
+        for target in arguments.values()
+        for b in attackers(target)
+    )
 
 
 def build_graph(

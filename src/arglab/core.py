@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -184,12 +184,15 @@ class ArgumentationGraph:
             if x not in ids or y not in ids:
                 raise ValueError(f"edge ({x}, {y}) mentions unknown argument")
         self._check_sub_acyclic()
+        attackers: Dict[str, Set[str]] = {}
+        for attacker, target in self.attacks:
+            attackers.setdefault(target, set()).add(attacker)
         for b, a in self.sub_edges:
-            for attacker, target in self.attacks:
-                if target == b and (attacker, a) not in self.attacks:
-                    raise ValueError(
-                        f"attack ({attacker}, {b}) does not extend to parent {a}"
-                    )
+            missing = attackers.get(b, set()) - attackers.get(a, set())
+            if missing:
+                raise ValueError(
+                    f"attack ({min(missing)}, {b}) does not extend to parent {a}"
+                )
 
     def _check_sub_acyclic(self):
         children: Dict[str, List[str]] = {}

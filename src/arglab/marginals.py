@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Mapping, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from .core import (
     ArgLabel,
@@ -76,9 +76,18 @@ def statement_label(
     concludes the statement at all.
     """
     mapping = labelling.mapping
-    labels = [
-        mapping[a.canonical_id] for a in graph.arguments.values() if a.conclusion == statement
-    ]
+    labels = [mapping[a] for a in _concluding_ids(graph, statement)]
+    return _statement_label_of(labels, scheme)
+
+
+def _concluding_ids(graph: ArgumentationGraph, statement: Literal) -> FrozenSet[str]:
+    return frozenset(
+        a.canonical_id for a in graph.arguments.values() if a.conclusion == statement
+    )
+
+
+def _statement_label_of(labels: List[ArgLabel], scheme: StatementScheme) -> StatementLabel:
+    """Statement label from the labels of the arguments concluding it."""
     if scheme is StatementScheme.BIVALENT:
         return StatementLabel.IN if ArgLabel.IN in labels else StatementLabel.NO
     if not labels:
@@ -98,11 +107,18 @@ def statement_label_probability(
     label: StatementLabel,
     scheme: StatementScheme = StatementScheme.WORSTCASE,
 ) -> Fraction:
+    """Probability that the statement carries ``label``.
+
+    The sum of :func:`statement_label` over the support; the arguments
+    concluding the statement are found once per call, not once per labelling.
+    """
+    concluding = _concluding_ids(plf.graph, statement)
     return sum(
         (
             p
             for l, p in plf.probs.items()
-            if statement_label(l, plf.graph, statement, scheme) is label
+            if _statement_label_of([x for a, x in l.entries if a in concluding], scheme)
+            is label
         ),
         ZERO,
     )
@@ -248,8 +264,11 @@ def check_properties(
     # Diagnostic: lower bound on acceptance from attacker acceptance.
     optimism = PropertyResult("optimism", applicable=has_in, holds=True, mandatory=False)
     if has_in:
+        attackers: Dict[str, List[str]] = {}
+        for b, a in graph.attacks:
+            attackers.setdefault(a, []).append(b)
         for a in ids:
-            bound = 1 - sum((p(b, ArgLabel.IN) for b in graph.attackers_of(a)), ZERO)
+            bound = 1 - sum((p(b, ArgLabel.IN) for b in attackers.get(a, ())), ZERO)
             if p(a, ArgLabel.IN) < bound:
                 optimism.holds = False
                 optimism.violations.append(a)

@@ -28,6 +28,7 @@ from conftest import (
     C_BC,
     RUNNING_EXAMPLE,
 )
+from generators import attack_digest, layered_theory
 
 
 def test_running_example_arguments(running_theory):
@@ -59,6 +60,32 @@ def test_policy_none_ignores_superiority():
     args = build_arguments(theory)
     attacks = derive_attacks(theory, args, policy=PreferencePolicy.NONE)
     assert attacks == {(A_B, A_C), (A_C, A_D), (A_D, A_C)}
+
+
+@pytest.mark.parametrize(
+    "policy, attacks, digest",
+    [
+        (
+            PreferencePolicy.LAST_LINK,
+            3326,
+            "b0d634baf7b60aa94c6141dbe129f837db3d547d8612d832858cc648bea235ce",
+        ),
+        (
+            PreferencePolicy.NONE,
+            4374,
+            "0fc400660e65f4d295ed1991ef9d48b985ec3a9dba0ec244a0a188c87484c4fd",
+        ),
+    ],
+    ids=["last_link", "none"],
+)
+def test_layered_theory_at_scale(policy, attacks, digest):
+    # Counts and digests were recorded from the triple-loop derivation, which
+    # took about 5 s per policy on this theory.
+    graph = build_graph(layered_theory(3, 6), policy=policy)
+    assert len(graph.arguments) == 1098
+    assert len(graph.sub_edges) == 1089
+    assert len(graph.attacks) == attacks
+    assert attack_digest(graph.attacks) == digest
 
 
 def test_chain_arguments(chain_graph):

@@ -1,9 +1,11 @@
-"""The frame layer against the brute-force code it replaced, on generated theories.
+"""Rewritten paths against the brute-force code they replaced, on generated theories.
 
-Each oracle below is the straightforward version of a rewritten path: the
-pushforward that rebuilds arguments per rule subset, the product over all
-2^n subsets, and the argument marginal that rescans the support on every
-call.  Results must agree exactly, under both preference policies.
+Each oracle below is the straightforward version of a rewritten path: attack
+derivation over every target, subargument and attacker; graph validation over
+every subargument edge and attack; the pushforward that rebuilds arguments per
+rule subset; the product over all 2^n subsets; and the argument and statement
+marginals that rescan the support on every call.  Results must agree exactly,
+under both preference policies.
 """
 
 import itertools
@@ -15,19 +17,26 @@ from hypothesis import strategies as st
 from arglab import (
     PAG,
     PTF,
+    ArgumentationGraph,
     CapExceededError,
     DefeasibleTheory,
     Literal,
     PreferencePolicy,
     Rule,
     Semantics,
+    StatementLabel,
+    StatementScheme,
     argument_label_probability,
     build_arguments,
     build_graph,
+    close_conflicts,
+    derive_attacks,
     pag_to_pgf,
     pgf_from_ptf,
     plf_with_semantics,
     ptf_independent,
+    statement_label,
+    statement_label_probability,
 )
 
 F = Fraction
@@ -69,6 +78,38 @@ def _graph(theory, policy, max_args):
 # --- oracles -----------------------------------------------------------------
 
 
+def triple_loop_attacks(theory, arguments, policy):
+    """Every target, every subargument of it, every candidate attacker."""
+    conflicts = close_conflicts(theory)
+
+    def preferred(x, y):
+        if policy is PreferencePolicy.NONE:
+            return False
+        return (x.top_rule, y.top_rule) in theory.superiority
+
+    attacks = set()
+    for target in arguments.values():
+        for sub in target.subarguments():
+            for attacker in arguments.values():
+                undercuts = attacker.conclusion in sub.naf_premises
+                rebuts = (
+                    attacker.conclusion,
+                    sub.conclusion,
+                ) in conflicts and not preferred(sub, attacker)
+                if undercuts or rebuts:
+                    attacks.add((attacker.canonical_id, target.canonical_id))
+    return frozenset(attacks)
+
+
+def attacks_extend_quadratic(attacks, sub_edges):
+    """Every subargument edge against every attack."""
+    return all(
+        target != b or (attacker, a) in attacks
+        for b, a in sub_edges
+        for attacker, target in attacks
+    )
+
+
 def rebuilt_pushforward(ptf):
     """Each rule subset's subtheory builds its own arguments."""
     probs = {}
@@ -96,7 +137,57 @@ def scanned_label_probability(plf, arg_id, label):
     return sum((p for l, p in plf.probs.items() if l.label(arg_id) is label), F(0))
 
 
+def summed_statement_probability(plf, statement, label, scheme):
+    """Label the statement in each support labelling on its own."""
+    graph = plf.graph
+    return sum(
+        (p for l, p in plf.probs.items() if statement_label(l, graph, statement, scheme) is label),
+        F(0),
+    )
+
+
 # --- comparisons -------------------------------------------------------------
+
+
+@given(theories(), _policies)
+@settings(max_examples=200, deadline=None)
+def test_derive_attacks_matches_triple_loop(theory, policy):
+    arguments = dict(_graph(theory, policy, max_args=60).arguments)
+    expect = triple_loop_attacks(theory, arguments, policy)
+    assert derive_attacks(theory, arguments, policy) == expect
+
+
+@given(theories(), _policies, st.data())
+@settings(max_examples=150, deadline=None)
+def test_derive_attacks_matches_triple_loop_on_partial_arguments(theory, policy, data):
+    """Subarguments left out of the dict are still walked as targets' parts."""
+    graph = _graph(theory, policy, max_args=60)
+    kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
+    arguments = {a: graph.arguments[a] for a in kept}
+    expect = triple_loop_attacks(theory, arguments, policy)
+    assert derive_attacks(theory, arguments, policy) == expect
+
+
+@given(theories(), _policies, st.data())
+@settings(max_examples=200, deadline=None)
+def test_graph_validation_matches_quadratic_check(theory, policy, data):
+    graph = _graph(theory, policy, max_args=60)
+    ids = graph.ids()
+    if not ids:
+        reject()
+    if graph.attacks and data.draw(st.booleans()):
+        attacks = graph.attacks - {data.draw(st.sampled_from(sorted(graph.attacks)))}
+    else:
+        attacks = graph.attacks | {
+            (data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)))
+        }
+    try:
+        ArgumentationGraph(graph.arguments, attacks, graph.sub_edges)
+        accepted = True
+    except ValueError as exc:
+        assert "does not extend to parent" in str(exc)
+        accepted = False
+    assert accepted == attacks_extend_quadratic(attacks, graph.sub_edges)
 
 
 @given(theories(), _policies, st.data())
@@ -144,3 +235,16 @@ def test_argument_marginals_match_support_scan(theory, policy, semantics):
         for label in plf.spec.label_set.labels:
             expect = scanned_label_probability(plf, arg_id, label)
             assert argument_label_probability(plf, arg_id, label) == expect
+
+
+@given(theories(max_rules=5), _policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
+@settings(max_examples=60, deadline=None)
+def test_statement_marginals_match_per_labelling_sum(theory, policy, semantics):
+    _graph(theory, policy, max_args=8)
+    plf = plf_with_semantics(pgf_from_ptf(ptf_independent(theory), policy=policy), semantics)
+    # every literal of the theory, so unproposed statements are covered too
+    for statement in sorted(theory.literals(), key=str):
+        for scheme in StatementScheme:
+            for label in StatementLabel:
+                expect = summed_statement_probability(plf, statement, label, scheme)
+                assert statement_label_probability(plf, statement, label, scheme) == expect
