@@ -56,6 +56,7 @@ from .marginals import (
     justification_from_plf,
     statement_label,
     statement_label_probability,
+    statement_marginal,
 )
 from .semantics import (
     LabellingSpec,

@@ -37,6 +37,7 @@ from .frames import (
     PGF,
     PLF,
     PTF,
+    ZERO,
     SublabellingWeights,
     pag_to_pgf,
     pgf_from_ptf,
@@ -50,7 +51,7 @@ from .marginals import (
     argument_label_probability,
     check_properties,
     justification_from_plf,
-    statement_label_probability,
+    statement_marginal,
 )
 from .semantics import MAX_ENUM_ARGUMENTS, LabellingSpec, Semantics, labellings
 
@@ -238,12 +239,10 @@ def _marginal_body(args, plf: PLF) -> Dict[str, object]:
         }
 
     def stmt_entry(statement: Literal) -> Dict[str, object]:
+        row = statement_marginal(plf, statement, scheme)
         return {
             "statement": str(statement),
-            "labels": {
-                l.value: _rational(statement_label_probability(plf, statement, l, scheme))
-                for l in _STMT_LABELS[scheme]
-            },
+            "labels": {l.value: _rational(row.get(l, ZERO)) for l in _STMT_LABELS[scheme]},
         }
 
     if target.startswith("arg:"):

@@ -20,11 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from .core import ArgLabel, ArgumentationGraph, DefeasibleTheory, Labelling, LabelSet
+from .core import (
+    ArgLabel,
+    ArgumentationGraph,
+    DefeasibleTheory,
+    Labelling,
+    LabelSet,
+    Literal,
+)
 from .construct import (
     MAX_ARGUMENTS,
+    MAX_SUBTHEORY_RULES,
     PreferencePolicy,
     build_graph,
     induced_subgraph,
@@ -100,14 +108,21 @@ def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fr
         yield frozenset(subset), p
 
 
-def ptf_independent(theory: DefeasibleTheory) -> PTF:
+def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RULES) -> PTF:
     """Product distribution from per-rule probabilities.
 
     Rules without a declared probability are treated as certain (p = 1).
+    Raises CapExceededError, before any subset is built, when more than
+    ``max_rules`` rules have 0 < p < 1.
     """
     for rid, p in theory.rule_probs.items():
         if not 0 <= p <= 1:
             raise DistributionError(f"p({rid}) = {p} outside [0, 1]")
+    uncertain = sum(1 for p in theory.rule_probs.values() if 0 < p < 1)
+    if uncertain > max_rules:
+        raise CapExceededError(
+            f"{uncertain} uncertain rules exceeds the subtheory enumeration cap of {max_rules}"
+        )
     return PTF(theory, _product({rid: theory.rule_probs.get(rid, ONE) for rid in theory.rules}))
 
 
@@ -151,6 +166,28 @@ class PLF:
             for arg_id, label in labelling.entries:
                 row = table[arg_id]
                 row[label] = row.get(label, ZERO) + p
+        return table
+
+    @cached_property
+    def conclusion_label_sets(self) -> Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]]:
+        """Per concluded statement, the probability of each set of labels that
+        the arguments concluding it carry together.
+
+        Statement labels depend on that set alone, so one pass over the support
+        serves every statement, label and scheme.
+        """
+        conclusion = {a: arg.conclusion for a, arg in self.graph.arguments.items()}
+        table: Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]] = {
+            c: {} for c in conclusion.values()
+        }
+        for labelling, p in self.probs.items():
+            carried: Dict[Literal, Set[ArgLabel]] = {c: set() for c in table}
+            for arg_id, label in labelling.entries:
+                carried[conclusion[arg_id]].add(label)
+            for c, labels in carried.items():
+                row = table[c]
+                key = frozenset(labels)
+                row[key] = row.get(key, ZERO) + p
         return table
 
 
@@ -277,8 +314,8 @@ class SublabellingWeights:
 
     def weights_for(self, inner_labellings: List[Labelling]) -> List[Fraction]:
         k = len(inner_labellings)
-        if k == 1:
-            return [ONE]
+        if k <= 1:
+            return [ONE] * k
         weights = []
         for labelling in inner_labellings:
             mapping = labelling.mapping
@@ -311,7 +348,8 @@ def plf_with_semantics(
 
     Every subgraph in the support contributes its semantics labellings,
     extended with OFF outside, split by the sublabelling weights (uniform by
-    default).
+    default).  A subgraph with no labelling under the semantics (an odd
+    attack cycle has no stable one) raises DistributionError.
     """
     weights = weights or SublabellingWeights()
     admit = is_legal if legal_only else is_subargument_complete
@@ -326,6 +364,10 @@ def plf_with_semantics(
             raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
         sub = induced_subgraph(pgf.graph, subset)
         inner = enumerate_labellings(sub, inner_spec, max_args=max_args)
+        if not inner:
+            raise DistributionError(
+                f"subgraph {sorted(subset)} has no {semantics.value} labelling"
+            )
         for labelling, w in zip(inner, weights.weights_for(inner)):
             entries.append((combine_with_off(pgf.graph, labelling), p * w))
     return PLF(pgf.graph, spec, entries)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional
 
 from .core import (
     ArgLabel,
@@ -17,7 +17,7 @@ from .core import (
     Literal,
     in_conflict,
 )
-from .frames import PLF, ZERO
+from .frames import ONE, PLF, ZERO
 from .semantics import Semantics
 
 _COMPLETE_FAMILY = {
@@ -86,7 +86,9 @@ def _concluding_ids(graph: ArgumentationGraph, statement: Literal) -> FrozenSet[
     )
 
 
-def _statement_label_of(labels: List[ArgLabel], scheme: StatementScheme) -> StatementLabel:
+def _statement_label_of(
+    labels: Collection[ArgLabel], scheme: StatementScheme
+) -> StatementLabel:
     """Statement label from the labels of the arguments concluding it."""
     if scheme is StatementScheme.BIVALENT:
         return StatementLabel.IN if ArgLabel.IN in labels else StatementLabel.NO
@@ -101,27 +103,34 @@ def _statement_label_of(labels: List[ArgLabel], scheme: StatementScheme) -> Stat
     return StatementLabel.OFF
 
 
+def statement_marginal(
+    plf: PLF,
+    statement: Literal,
+    scheme: StatementScheme = StatementScheme.WORSTCASE,
+) -> Dict[StatementLabel, Fraction]:
+    """Probability of each label of the statement; labels never carried are absent.
+
+    Folds the frame's table of conclusion label sets
+    (:attr:`PLF.conclusion_label_sets`), built in one pass over the support,
+    so the cost per call does not grow with the support.
+    """
+    row: Dict[StatementLabel, Fraction] = {}
+    # an unproposed statement has no concluding argument: surely the empty label set
+    for labels, p in plf.conclusion_label_sets.get(statement, {frozenset(): ONE}).items():
+        key = _statement_label_of(labels, scheme)
+        row[key] = row.get(key, ZERO) + p
+    return row
+
+
 def statement_label_probability(
     plf: PLF,
     statement: Literal,
     label: StatementLabel,
     scheme: StatementScheme = StatementScheme.WORSTCASE,
 ) -> Fraction:
-    """Probability that the statement carries ``label``.
-
-    The sum of :func:`statement_label` over the support; the arguments
-    concluding the statement are found once per call, not once per labelling.
-    """
-    concluding = _concluding_ids(plf.graph, statement)
-    return sum(
-        (
-            p
-            for l, p in plf.probs.items()
-            if _statement_label_of([x for a, x in l.entries if a in concluding], scheme)
-            is label
-        ),
-        ZERO,
-    )
+    """Probability that the statement carries ``label``: the sum of
+    :func:`statement_label` over the support, read off :func:`statement_marginal`."""
+    return statement_marginal(plf, statement, scheme).get(label, ZERO)
 
 
 def justification_from_plf(plf: PLF, arg_id: str) -> Justification:

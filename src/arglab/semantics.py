@@ -9,8 +9,14 @@ Three labelling families are supported:
 * combined {IN, OUT, UN, OFF} labellings: a semantics labelling of some
   subargument-complete subgraph, OFF everywhere else.
 
-Enumeration is exhaustive and deterministic: results are sorted by the label
-sequence in canonical-id order with IN < OUT < UN < ON < OFF.
+Complete, preferred and stable labellings are found by a backtracking search
+over the arguments the grounded labelling leaves UN, since every complete
+labelling agrees with the grounded one on its IN and OUT arguments; preferred
+ones are the complete ones with a maximal IN-set, stable ones those with
+nothing UN.  Every other family is enumerated exhaustively: 2^n subsets or
+3^n assignments for n arguments.  Every enumeration is capped at
+MAX_ENUM_ARGUMENTS arguments and is deterministic: results are sorted by the
+label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet
 from .construct import induced_subgraph, is_legal, is_rule_complete, is_subargument_complete
@@ -73,9 +79,10 @@ def _attackers(graph: ArgumentationGraph) -> Dict[str, Set[str]]:
     return att
 
 
-def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
-    """Least fixpoint computation of the unique grounded labelling."""
-    att = _attackers(graph)
+def _grounded_sets(
+    graph: ArgumentationGraph, att: Dict[str, Set[str]]
+) -> Tuple[Set[str], Set[str]]:
+    """IN and OUT sets of the grounded labelling, by least fixpoint."""
     in_set: Set[str] = set()
     out_set: Set[str] = set()
     changed = True
@@ -90,39 +97,78 @@ def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
             elif att[a] & in_set:
                 out_set.add(a)
                 changed = True
-    mapping = {}
-    for a in graph.arguments:
-        if a in in_set:
-            mapping[a] = ArgLabel.IN
-        elif a in out_set:
-            mapping[a] = ArgLabel.OUT
-        else:
-            mapping[a] = ArgLabel.UN
-    return Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping)
+    return in_set, out_set
 
 
-def _complete_in_sets(graph: ArgumentationGraph) -> List[FrozenSet[str]]:
-    """IN-sets of complete labellings.
-
-    A complete labelling is determined by its IN-set S: the OUT-set is exactly
-    the set of arguments with an attacker in S, and S must equal the set of
-    arguments whose attackers are all OUT.
-    """
-    ids = sorted(graph.arguments)
+def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
+    """Least fixpoint computation of the unique grounded labelling."""
     att = _attackers(graph)
+    return _labelling_from_in_set(graph, att, frozenset(_grounded_sets(graph, att)[0]))
+
+
+def _complete_in_sets(
+    graph: ArgumentationGraph, att: Dict[str, Set[str]]
+) -> List[FrozenSet[str]]:
+    """IN-sets of complete labellings, ordered as the bit vectors over sorted ids.
+
+    A complete labelling is determined by its IN-set: the OUT-set is exactly
+    the set of arguments with an attacker in it, and the IN-set must be
+    conflict-free and equal the set of arguments whose attackers are all OUT.
+    Every complete labelling extends the grounded one, so the search only
+    decides the grounded-UN arguments, in sorted order: each is first left
+    out, then put in unless that puts it IN with an attacker.  A leaf's
+    IN-set is grounded IN plus the chosen set S.  The condition holds on the
+    grounded IN and OUT arguments for every such S (grounded UN arguments
+    neither attack grounded IN ones nor are attacked by them), so it is
+    tested on the grounded-UN arguments only.
+    """
+    g_in, g_out = _grounded_sets(graph, att)
+    undecided = sorted(a for a in graph.arguments if a not in g_in and a not in g_out)
+    targets: Dict[str, Set[str]] = {a: set() for a in undecided}
+    for b, a in graph.attacks:
+        if b in targets:
+            targets[b].add(a)
     out: List[FrozenSet[str]] = []
-    for bits in itertools.product((False, True), repeat=len(ids)):
-        s = {a for a, b in zip(ids, bits) if b}
-        out_set = {a for a in ids if att[a] & s}
-        if s & out_set:
-            continue
-        if {a for a in ids if att[a] <= out_set} == s:
-            out.append(frozenset(s))
+    chosen: Set[str] = set()
+
+    def is_complete() -> bool:
+        out_set = g_out | {a for a in undecided if att[a] & chosen}
+        if chosen & out_set:
+            return False
+        return all((a in chosen) == (att[a] <= out_set) for a in undecided)
+
+    def search(i: int) -> None:
+        if i == len(undecided):
+            if is_complete():
+                out.append(frozenset(g_in | chosen))
+            return
+        search(i + 1)
+        a = undecided[i]
+        if a not in att[a] and not (att[a] & chosen or targets[a] & chosen):
+            chosen.add(a)
+            search(i + 1)
+            chosen.remove(a)
+
+    search(0)
     return out
 
 
-def _labelling_from_in_set(graph: ArgumentationGraph, s: FrozenSet[str]) -> Labelling:
-    att = _attackers(graph)
+def _maximal(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
+    """The sets with no strict superset among ``sets``, largest first.
+
+    Visited largest first, a set is maximal unless it lies strictly inside
+    one of the maximal sets already kept.
+    """
+    kept: List[FrozenSet[str]] = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s < t for t in kept):
+            kept.append(s)
+    return kept
+
+
+def _labelling_from_in_set(
+    graph: ArgumentationGraph, att: Dict[str, Set[str]], s: FrozenSet[str]
+) -> Labelling:
     mapping = {}
     for a in graph.arguments:
         if a in s:
@@ -160,13 +206,13 @@ def _semantics_labellings(graph: ArgumentationGraph, semantics: Semantics) -> Li
         return _cf_labellings(graph)
     if semantics is Semantics.GROUNDED:
         return [grounded_labelling(graph)]
-    in_sets = _complete_in_sets(graph)
+    att = _attackers(graph)
+    in_sets = _complete_in_sets(graph, att)
     if semantics is Semantics.PREFERRED:
-        in_sets = [s for s in in_sets if not any(s < t for t in in_sets)]
-    result = [_labelling_from_in_set(graph, s) for s in in_sets]
-    if semantics is Semantics.STABLE:
-        result = [l for l in result if not l.with_label(ArgLabel.UN)]
-    return result
+        in_sets = _maximal(in_sets)
+    elif semantics is Semantics.STABLE:  # nothing left UN
+        in_sets = [s for s in in_sets if all(a in s or att[a] & s for a in graph.arguments)]
+    return [_labelling_from_in_set(graph, att, s) for s in in_sets]
 
 
 def _subsets(ids: List[str]):

@@ -241,6 +241,39 @@ def test_cap_exit_code(theory_file, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+# Three rules each blocked by the next: an odd NAF loop, which has no stable
+# labelling.
+ODD_NAF_LOOP = """\
+r1 : ~b => a.
+r2 : ~c => b.
+r3 : ~a => c.
+"""
+
+
+def test_stable_without_labelling_exit_code(tmp_path, capsys):
+    path = tmp_path / "loop.dl"
+    path.write_text(ODD_NAF_LOOP)
+    code = main(["check", str(path), "--semantics", "stable"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "subgraph ['r1()', 'r2()', 'r3()'] has no stable labelling" in err
+    # the preferred labelling of the loop leaves all three UN
+    code, out = run(capsys, "marginal", str(path), "--semantics", "preferred")
+    assert code == 0
+    assert json.loads(out)["arguments"][0]["labels"]["UN"]["num"] == 1
+
+
+def test_independent_frame_rule_cap_exit_code(tmp_path, capsys):
+    path = tmp_path / "wide.dl"
+    lines = [f"r{i} : => a{i}.\np(r{i}) = 1/2." for i in range(21)]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["marginal", str(path)])
+    assert code == 3
+    assert "21 uncertain rules exceeds the subtheory enumeration cap of 20" in (
+        capsys.readouterr().err
+    )
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["args", "/nonexistent/file.dl"]) == 2
 

@@ -10,6 +10,7 @@ from arglab import (
     PLF,
     PTF,
     ArgLabel,
+    CapExceededError,
     DistributionError,
     Semantics,
     SublabellingWeights,
@@ -59,6 +60,25 @@ def test_ptf_independent_rejects_bad_probability():
     theory = parse_theory("r1 : => a.\np(r1) = 3/2.\n")
     with pytest.raises(DistributionError):
         ptf_independent(theory)
+
+
+def test_ptf_independent_caps_uncertain_rules():
+    theory = parse_theory(
+        "r1 : => a.\nr2 : => b.\nr3 : => c.\nr4 : => d.\n"
+        "p(r1) = 1/2.\np(r2) = 1/3.\np(r3) = 1/4.\np(r4) = 1.\n"
+    )
+    with pytest.raises(CapExceededError, match="3 uncertain rules"):
+        ptf_independent(theory, max_rules=2)
+    # certain rules do not count against the cap
+    assert len(ptf_independent(theory, max_rules=3).probs) == 8
+
+
+def test_plf_with_semantics_rejects_subgraph_without_labelling():
+    theory = parse_theory("r1 : ~b => a.\nr2 : ~c => b.\nr3 : ~a => c.\n")
+    pgf = pgf_from_ptf(ptf_independent(theory))
+    with pytest.raises(DistributionError, match="has no stable labelling"):
+        plf_with_semantics(pgf, Semantics.STABLE)
+    assert SublabellingWeights().weights_for([]) == []
 
 
 # Explicit sixteen-subtheory distribution over the chain theory, in

@@ -3,9 +3,10 @@
 Each oracle below is the straightforward version of a rewritten path: attack
 derivation over every target, subargument and attacker; graph validation over
 every subargument edge and attack; the pushforward that rebuilds arguments per
-rule subset; the product over all 2^n subsets; and the argument and statement
-marginals that rescan the support on every call.  Results must agree exactly,
-under both preference policies.
+rule subset; the product over all 2^n subsets; the complete, preferred and
+stable labellings found by testing all 2^n candidate IN-sets; and the argument
+and statement marginals that rescan the support on every call.  Results must
+agree exactly, under both preference policies.
 """
 
 import itertools
@@ -17,9 +18,14 @@ from hypothesis import strategies as st
 from arglab import (
     PAG,
     PTF,
+    ArgLabel,
+    Argument,
     ArgumentationGraph,
     CapExceededError,
     DefeasibleTheory,
+    Labelling,
+    LabellingSpec,
+    LabelSet,
     Literal,
     PreferencePolicy,
     Rule,
@@ -31,6 +37,10 @@ from arglab import (
     build_graph,
     close_conflicts,
     derive_attacks,
+    induced_subgraph,
+    is_subargument_complete,
+    labellings,
+    lit,
     pag_to_pgf,
     pgf_from_ptf,
     plf_with_semantics,
@@ -38,6 +48,8 @@ from arglab import (
     statement_label,
     statement_label_probability,
 )
+from arglab import semantics as semantics_module
+from arglab.semantics import combine_with_off
 
 F = Fraction
 
@@ -63,6 +75,21 @@ def theories(draw, max_rules=6):
     )
     probs = {rid: draw(_probabilities) for rid in ids if draw(st.booleans())}
     return DefeasibleTheory(rules, conflicts, superiority, probs)
+
+
+@st.composite
+def abstract_graphs(draw, max_args=8):
+    """Attack graphs without subarguments; self-attacks and odd cycles are common."""
+    n = draw(st.integers(min_value=1, max_value=max_args))
+    args = {f"r{i}()": Argument(f"r{i}", lit(f"a{i}")) for i in range(n)}
+    ids = sorted(args)
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    attacks = set(draw(st.sets(pairs, max_size=2 * n)))
+    cycle = draw(st.sampled_from([0, 1, 3, 5, 7]))  # 1 is a self-attack
+    if 0 < cycle <= n:
+        ring = draw(st.permutations(ids))[:cycle]
+        attacks |= {(ring[i], ring[(i + 1) % cycle]) for i in range(cycle)}
+    return ArgumentationGraph(args, frozenset(attacks), frozenset())
 
 
 def _graph(theory, policy, max_args):
@@ -132,6 +159,63 @@ def full_product(items):
     return probs
 
 
+def brute_force_complete_in_sets(graph):
+    """IN-sets of complete labellings, testing every one of the 2^n candidates.
+
+    A complete labelling is determined by its IN-set S: the OUT-set is exactly
+    the set of arguments with an attacker in S, and S must equal the set of
+    arguments whose attackers are all OUT.
+    """
+    ids = sorted(graph.arguments)
+    att = {a: {b for b, t in graph.attacks if t == a} for a in ids}
+    out = []
+    for bits in itertools.product((False, True), repeat=len(ids)):
+        s = {a for a, b in zip(ids, bits) if b}
+        out_set = {a for a in ids if att[a] & s}
+        if s & out_set:
+            continue
+        if {a for a in ids if att[a] <= out_set} == s:
+            out.append(frozenset(s))
+    return out
+
+
+def brute_force_labellings(graph, semantics):
+    """Complete, preferred or stable {IN, OUT, UN} labellings in sorted order.
+
+    Preferred IN-sets are the complete ones with no strict superset among all
+    the others; stable labellings are the complete ones with nothing UN.
+    """
+    in_sets = brute_force_complete_in_sets(graph)
+    if semantics is Semantics.PREFERRED:
+        in_sets = [s for s in in_sets if not any(s < t for t in in_sets)]
+    result = []
+    for s in in_sets:
+        mapping = {}
+        for a in graph.arguments:
+            if a in s:
+                mapping[a] = ArgLabel.IN
+            elif any((b, a) in graph.attacks for b in s):
+                mapping[a] = ArgLabel.OUT
+            else:
+                mapping[a] = ArgLabel.UN
+        if semantics is Semantics.STABLE and ArgLabel.UN in mapping.values():
+            continue
+        result.append(Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping))
+    return sorted(result, key=Labelling.sort_key)
+
+
+def brute_force_combined(graph, semantics):
+    """Combined {IN, OUT, UN, OFF} labellings over every subargument-complete subset."""
+    ids = sorted(graph.arguments)
+    result = []
+    for bits in itertools.product((False, True), repeat=len(ids)):
+        s = frozenset(a for a, b in zip(ids, bits) if b)
+        if is_subargument_complete(graph, s):
+            for inner in brute_force_labellings(induced_subgraph(graph, s), semantics):
+                result.append(combine_with_off(graph, inner))
+    return sorted(result, key=Labelling.sort_key)
+
+
 def scanned_label_probability(plf, arg_id, label):
     """Scan the whole support for one argument and label."""
     return sum((p for l, p in plf.probs.items() if l.label(arg_id) is label), F(0))
@@ -188,6 +272,37 @@ def test_graph_validation_matches_quadratic_check(theory, policy, data):
         assert "does not extend to parent" in str(exc)
         accepted = False
     assert accepted == attacks_extend_quadratic(attacks, graph.sub_edges)
+
+
+_SEARCHED = st.sampled_from([Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE])
+
+
+def _searched(graph, semantics):
+    return labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics))
+
+
+@given(abstract_graphs(), _SEARCHED)
+@settings(max_examples=300, deadline=None)
+def test_labelling_search_matches_brute_force_on_abstract_graphs(graph, semantics):
+    assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
+    # the search also finds the IN-sets in the scan's order
+    in_sets = semantics_module._complete_in_sets(graph, semantics_module._attackers(graph))
+    assert in_sets == brute_force_complete_in_sets(graph)
+
+
+@given(theories(), _policies, _SEARCHED)
+@settings(max_examples=200, deadline=None)
+def test_labelling_search_matches_brute_force_on_theory_graphs(theory, policy, semantics):
+    graph = _graph(theory, policy, max_args=8)
+    assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
+
+
+@given(theories(max_rules=5), _policies, _SEARCHED)
+@settings(max_examples=100, deadline=None)
+def test_combined_labellings_match_brute_force(theory, policy, semantics):
+    graph = _graph(theory, policy, max_args=6)
+    spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics)
+    assert labellings(graph, spec) == brute_force_combined(graph, semantics)
 
 
 @given(theories(), _policies, st.data())

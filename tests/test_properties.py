@@ -1,4 +1,8 @@
-"""Invariant checks on randomly drawn attack graphs."""
+"""Invariant checks on randomly drawn attack graphs.
+
+The complete, preferred and stable invariants are checked on the labelling
+search and on the brute-force oracle alike.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from arglab import (
     labellings,
     lit,
 )
+from test_oracles import brute_force_labellings
 
 
 @st.composite
@@ -30,18 +35,23 @@ def _sem(graph, semantics):
     return labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics))
 
 
+# Each enumerates complete, preferred and stable labellings.
+ENUMERATORS = (_sem, brute_force_labellings)
+
+
 @given(attack_graphs())
 @settings(max_examples=200, deadline=None)
 def test_semantics_subset_chain(graph):
     cf = _sem(graph, Semantics.CF)
-    complete = _sem(graph, Semantics.COMPLETE)
-    preferred = _sem(graph, Semantics.PREFERRED)
-    stable = _sem(graph, Semantics.STABLE)
     grounded = _sem(graph, Semantics.GROUNDED)
-    assert set(stable) <= set(preferred) <= set(complete) <= set(cf)
-    assert set(grounded) <= set(complete)
-    assert complete, "a complete labelling always exists"
-    assert preferred, "a preferred labelling always exists"
+    for enumerate_ in ENUMERATORS:
+        complete = enumerate_(graph, Semantics.COMPLETE)
+        preferred = enumerate_(graph, Semantics.PREFERRED)
+        stable = enumerate_(graph, Semantics.STABLE)
+        assert set(stable) <= set(preferred) <= set(complete) <= set(cf)
+        assert set(grounded) <= set(complete)
+        assert complete, "a complete labelling always exists"
+        assert preferred, "a preferred labelling always exists"
 
 
 @given(attack_graphs())
@@ -50,20 +60,22 @@ def test_grounded_is_least_complete(graph):
     grounded = grounded_labelling(graph)
     g_in = grounded.with_label(ArgLabel.IN)
     g_out = grounded.with_label(ArgLabel.OUT)
-    for l in _sem(graph, Semantics.COMPLETE):
-        assert g_in <= l.with_label(ArgLabel.IN)
-        assert g_out <= l.with_label(ArgLabel.OUT)
+    for enumerate_ in ENUMERATORS:
+        for l in enumerate_(graph, Semantics.COMPLETE):
+            assert g_in <= l.with_label(ArgLabel.IN)
+            assert g_out <= l.with_label(ArgLabel.OUT)
 
 
 @given(attack_graphs())
 @settings(max_examples=100, deadline=None)
 def test_preferred_in_sets_are_maximal(graph):
-    preferred = [l.with_label(ArgLabel.IN) for l in _sem(graph, Semantics.PREFERRED)]
-    complete = [l.with_label(ArgLabel.IN) for l in _sem(graph, Semantics.COMPLETE)]
-    for p in preferred:
-        assert not any(p < c for c in complete)
-    for c in complete:
-        assert any(c <= p for p in preferred)
+    for enumerate_ in ENUMERATORS:
+        preferred = [l.with_label(ArgLabel.IN) for l in enumerate_(graph, Semantics.PREFERRED)]
+        complete = [l.with_label(ArgLabel.IN) for l in enumerate_(graph, Semantics.COMPLETE)]
+        for p in preferred:
+            assert not any(p < c for c in complete)
+        for c in complete:
+            assert any(c <= p for p in preferred)
 
 
 @given(attack_graphs())

@@ -16,6 +16,7 @@ from arglab import (
     labellings,
     lit,
 )
+from arglab.semantics import MAX_ENUM_ARGUMENTS
 from randgen import small_graph_theory
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, C_A, C_AB, C_B, C_BC
@@ -153,6 +154,26 @@ def test_enumeration_cap():
     graph = ArgumentationGraph(args, frozenset(), frozenset())
     with pytest.raises(CapExceededError):
         labellings(graph, LabellingSpec(LabelSet.ON_OFF))
+
+
+def test_disjoint_mutual_attacks_at_the_cap():
+    # 8 pairs, 16 arguments: each pair is b IN, c IN or both UN in a complete
+    # labelling; a preferred (and stable) one picks a side in every pair
+    args, attacks = {}, set()
+    for i in range(8):
+        b, c = Argument(f"rb{i}", lit(f"b{i}")), Argument(f"rc{i}", lit(f"-b{i}"))
+        args[b.canonical_id], args[c.canonical_id] = b, c
+        attacks |= {(b.canonical_id, c.canonical_id), (c.canonical_id, b.canonical_id)}
+    graph = ArgumentationGraph(args, frozenset(attacks), frozenset())
+    assert len(graph.arguments) == MAX_ENUM_ARGUMENTS
+
+    complete = labellings(graph, _spec(Semantics.COMPLETE))
+    preferred = labellings(graph, _spec(Semantics.PREFERRED))
+    stable = labellings(graph, _spec(Semantics.STABLE))
+    assert (len(complete), len(preferred), len(stable)) == (6561, 256, 256)
+    assert preferred == stable
+    assert all(len(_in_set(l)) == 8 for l in preferred)
+    assert preferred == [l for l in complete if len(_in_set(l)) == 8]
 
 
 def test_spec_validation():
