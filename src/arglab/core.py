@@ -271,8 +271,9 @@ class Labelling:
 
     @staticmethod
     def from_mapping(label_set: LabelSet, mapping: Mapping[str, ArgLabel]) -> "Labelling":
+        labels = label_set.labels
         for arg_id, label in mapping.items():
-            if label not in label_set.labels:
+            if label not in labels:
                 raise ValueError(f"label {label.value} not in label set for {arg_id}")
         return Labelling(label_set, tuple(sorted(mapping.items())))
 

@@ -4,7 +4,10 @@ All frames carry sparse distributions with exact rational probabilities.
 Each frame's constructor takes its outcomes as a mapping or as (outcome,
 probability) pairs, merges duplicate outcomes, drops zeros, checks that the
 total is exactly 1 and stores the result read-only; every conversion below
-goes through those constructors.
+goes through those constructors.  Probabilities must be ``Fraction`` or
+``int``; a ``float`` is rejected.  Sums over outcomes (merging duplicates,
+the product distribution, the marginal tables) add plain ``int`` numerators
+over one common denominator and build a single ``Fraction`` per result.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -16,11 +19,25 @@ goes through those constructors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .core import (
     ArgLabel,
@@ -52,6 +69,31 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def _numerator_sums(
+    outcomes: Collection[Tuple[object, Fraction]], cells: Callable[[object], Iterable[Hashable]]
+) -> Tuple[int, Dict[Hashable, int]]:
+    """Add each outcome's probability into each of its cells, exactly.
+
+    Probabilities are scaled to ``int`` numerators over the least common
+    multiple of their denominators, so a sum costs one integer addition per
+    (outcome, cell) instead of a gcd-normalised ``Fraction`` addition.
+    Returns that denominator and each cell's numerator, cells in first-seen
+    order; ``Fraction(n, den)`` is the cell's probability.
+    """
+    den = math.lcm(*(p.denominator for _, p in outcomes))
+    sums: Dict[Hashable, int] = {}
+    for outcome, p in outcomes:
+        n = p.numerator * (den // p.denominator)
+        for cell in cells(outcome):
+            sums[cell] = sums.get(cell, 0) + n
+    return den, sums
+
+
+def _check_rational(p, what) -> None:
+    if not isinstance(p, (Fraction, int)):
+        raise DistributionError(f"probability {p!r} for {what} is not a Fraction or an int")
+
+
 def _normalise(entries) -> Mapping[object, Fraction]:
     """Merge duplicate outcomes, drop zeros, and check the distribution axioms.
 
@@ -59,17 +101,18 @@ def _normalise(entries) -> Mapping[object, Fraction]:
     """
     if isinstance(entries, Mapping):
         entries = entries.items()
-    probs: Dict[object, Fraction] = {}
+    kept = []
     for key, p in entries:
-        if p < 0:
+        _check_rational(p, key)
+        if p.numerator < 0:
             raise DistributionError(f"negative probability {p} for {key}")
-        if p == 0:
-            continue
-        probs[key] = probs.get(key, ZERO) + p
-    total = sum(probs.values(), ZERO)
-    if total != 1:
-        raise DistributionError(f"probabilities sum to {total}, expected 1")
-    return MappingProxyType(probs)
+        if p.numerator:
+            kept.append((key, p))
+    den, sums = _numerator_sums(kept, lambda key: (key,))
+    total = sum(sums.values())
+    if total != den:
+        raise DistributionError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+    return MappingProxyType({key: Fraction(n, den) for key, n in sums.items()})
 
 
 def _check_subsets(probs: Mapping, known: Mapping[str, object], message: str) -> None:
@@ -94,18 +137,30 @@ def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fr
     """Subsets under independent inclusion, each item present with its probability.
 
     Only items with 0 < p < 1 are branched on: the others are in every subset
-    or in none, so 2^k subsets are visited for k uncertain items.
+    or in none, so 2^k subsets are visited for k uncertain items.  Over the
+    product of their denominators, a subset's numerator is the product of
+    each item's numerator n, when present, or d - n, when absent.
     """
     certain = frozenset(i for i, p in items.items() if p == 1)
     uncertain = sorted(i for i, p in items.items() if 0 < p < 1)
-    for bits in itertools.product((False, True), repeat=len(uncertain)):
+    factors = [(i, items[i].numerator, items[i].denominator) for i in uncertain]
+    den = math.prod(d for _, _, d in factors)
+    for bits in itertools.product((False, True), repeat=len(factors)):
         subset = set(certain)
-        p = ONE
-        for item, present in zip(uncertain, bits):
+        num = 1
+        for (item, n, d), present in zip(factors, bits):
             if present:
                 subset.add(item)
-            p *= items[item] if present else 1 - items[item]
-        yield frozenset(subset), p
+                num *= n
+            else:
+                num *= d - n
+        yield frozenset(subset), Fraction(num, den)
+
+
+def _check_unit(p, what: str) -> None:
+    _check_rational(p, what)
+    if not 0 <= p <= 1:
+        raise DistributionError(f"p({what}) = {p} outside [0, 1]")
 
 
 def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RULES) -> PTF:
@@ -116,8 +171,7 @@ def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RUL
     ``max_rules`` rules have 0 < p < 1.
     """
     for rid, p in theory.rule_probs.items():
-        if not 0 <= p <= 1:
-            raise DistributionError(f"p({rid}) = {p} outside [0, 1]")
+        _check_unit(p, rid)
     uncertain = sum(1 for p in theory.rule_probs.values() if 0 < p < 1)
     if uncertain > max_rules:
         raise CapExceededError(
@@ -161,11 +215,10 @@ class PLF:
     @cached_property
     def marginals(self) -> Dict[str, Dict[ArgLabel, Fraction]]:
         """Probability of each label per argument id; labels never carried are absent."""
+        den, sums = _numerator_sums(self.probs.items(), lambda labelling: labelling.entries)
         table: Dict[str, Dict[ArgLabel, Fraction]] = {a: {} for a in self.graph.arguments}
-        for labelling, p in self.probs.items():
-            for arg_id, label in labelling.entries:
-                row = table[arg_id]
-                row[label] = row.get(label, ZERO) + p
+        for (arg_id, label), n in sums.items():
+            table[arg_id][label] = Fraction(n, den)
         return table
 
     @cached_property
@@ -180,14 +233,16 @@ class PLF:
         table: Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]] = {
             c: {} for c in conclusion.values()
         }
-        for labelling, p in self.probs.items():
+
+        def label_sets(labelling: Labelling) -> List[Tuple[Literal, FrozenSet[ArgLabel]]]:
             carried: Dict[Literal, Set[ArgLabel]] = {c: set() for c in table}
             for arg_id, label in labelling.entries:
                 carried[conclusion[arg_id]].add(label)
-            for c, labels in carried.items():
-                row = table[c]
-                key = frozenset(labels)
-                row[key] = row.get(key, ZERO) + p
+            return [(c, frozenset(labels)) for c, labels in carried.items()]
+
+        den, sums = _numerator_sums(self.probs.items(), label_sets)
+        for (c, labels), n in sums.items():
+            table[c][labels] = Fraction(n, den)
         return table
 
 
@@ -224,8 +279,7 @@ class PAG:
                 f"(missing {missing}, unknown {extra})"
             )
         for arg_id, p in self.arg_probs.items():
-            if not 0 <= p <= 1:
-                raise DistributionError(f"p({arg_id}) = {p} outside [0, 1]")
+            _check_unit(p, arg_id)
 
 
 # --- conversions -------------------------------------------------------------

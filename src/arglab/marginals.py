@@ -37,14 +37,12 @@ def joint_probability(plf: PLF, assignment: Mapping[str, ArgLabel]) -> Fraction:
     for arg_id in assignment:
         if arg_id not in plf.graph.arguments:
             raise KeyError(arg_id)
-    return sum(
-        (
-            p
-            for l, p in plf.probs.items()
-            if all(l.label(a) is lab for a, lab in assignment.items())
-        ),
-        ZERO,
-    )
+    total = ZERO
+    for labelling, p in plf.probs.items():
+        mapping = labelling.mapping
+        if all(mapping[a] is lab for a, lab in assignment.items()):
+            total += p
+    return total
 
 
 class StatementLabel(Enum):

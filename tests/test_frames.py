@@ -5,6 +5,7 @@ import pytest
 
 from arglab import (
     PAG,
+    DefeasibleTheory,
     PEF,
     PGF,
     PLF,
@@ -288,3 +289,22 @@ def test_distribution_validation(mutual_graph):
         PAG(mutual_graph, {"rb()": F(1)})  # missing an argument
     with pytest.raises(DistributionError):
         PAG(mutual_graph, {"rb()": F(1), "rc()": F(2)})  # out of range
+
+
+def test_distribution_probabilities_are_exact(mutual_graph):
+    theory = parse_theory("r1 : => a.\n")
+    with pytest.raises(DistributionError, match=r"^probabilities sum to 1/2, expected 1$"):
+        PTF(theory, [(fs("r1"), F(1, 3)), (fs(), F(1, 6))])
+    with pytest.raises(DistributionError, match=r"^negative probability -1/2 for"):
+        PTF(theory, [(fs("r1"), F(3, 2)), (fs(), F(-1, 2))])
+    # a float would silently break the all-Fraction invariant
+    with pytest.raises(DistributionError, match="not a Fraction or an int"):
+        PTF(theory, {fs("r1"): 0.5, fs(): 0.5})
+    with pytest.raises(DistributionError, match="not a Fraction or an int"):
+        ptf_independent(DefeasibleTheory(theory.rules, rule_probs={"r1": 0.5}))
+    with pytest.raises(DistributionError, match="not a Fraction or an int"):
+        PAG(mutual_graph, {"rb()": 0.5, "rc()": F(1)})
+    # ints are exact and become Fractions
+    ptf = PTF(theory, {fs("r1"): 1, fs(): 0})
+    assert dict(ptf.probs) == {fs("r1"): F(1)}
+    assert type(ptf.probs[fs("r1")]) is Fraction

@@ -4,12 +4,14 @@ Each oracle below is the straightforward version of a rewritten path: attack
 derivation over every target, subargument and attacker; graph validation over
 every subargument edge and attack; the pushforward that rebuilds arguments per
 rule subset; the product over all 2^n subsets; the complete, preferred and
-stable labellings found by testing all 2^n candidate IN-sets; and the argument
-and statement marginals that rescan the support on every call.  Results must
-agree exactly, under both preference policies.
+stable labellings found by testing all 2^n candidate IN-sets; the argument
+and statement marginals that rescan the support on every call; and the
+distribution merge and marginal tables that add one ``Fraction`` at a time.
+Results must agree exactly, under both preference policies.
 """
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
 from hypothesis import given, reject, settings
@@ -23,10 +25,12 @@ from arglab import (
     ArgumentationGraph,
     CapExceededError,
     DefeasibleTheory,
+    DistributionError,
     Labelling,
     LabellingSpec,
     LabelSet,
     Literal,
+    PLF,
     PreferencePolicy,
     Rule,
     Semantics,
@@ -49,12 +53,16 @@ from arglab import (
     statement_label_probability,
 )
 from arglab import semantics as semantics_module
+from arglab.frames import _normalise
 from arglab.semantics import combine_with_off
 
 F = Fraction
 
 _literals = st.builds(Literal, st.sampled_from(["a", "b", "c", "d"]), st.booleans())
-_probabilities = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)])
+# coprime denominators (7, 11, 13) make the common denominator of the sums non-trivial
+_probabilities = st.sampled_from(
+    [F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1), F(2, 7), F(5, 11), F(4, 13)]
+)
 _policies = st.sampled_from(list(PreferencePolicy))
 
 
@@ -230,6 +238,49 @@ def summed_statement_probability(plf, statement, label, scheme):
     )
 
 
+def fraction_normalise(entries):
+    """Merge duplicates, drop zeros and check the total, one Fraction addition at a time."""
+    if isinstance(entries, Mapping):
+        entries = entries.items()
+    probs = {}
+    for key, p in entries:
+        if p < 0:
+            raise DistributionError(f"negative probability {p} for {key}")
+        if p == 0:
+            continue
+        probs[key] = probs.get(key, F(0)) + p
+    total = sum(probs.values(), F(0))
+    if total != 1:
+        raise DistributionError(f"probabilities sum to {total}, expected 1")
+    return probs
+
+
+def fraction_marginals(plf):
+    """Per argument, each label's probability, one Fraction addition per labelling and argument."""
+    table = {a: {} for a in plf.graph.arguments}
+    for labelling, p in plf.probs.items():
+        for arg_id, label in labelling.entries:
+            row = table[arg_id]
+            row[label] = row.get(label, F(0)) + p
+    return table
+
+
+def fraction_conclusion_label_sets(plf):
+    """Per statement, each carried label set's probability, one Fraction addition per
+    labelling and statement."""
+    conclusion = {a: arg.conclusion for a, arg in plf.graph.arguments.items()}
+    table = {c: {} for c in conclusion.values()}
+    for labelling, p in plf.probs.items():
+        carried = {c: set() for c in table}
+        for arg_id, label in labelling.entries:
+            carried[conclusion[arg_id]].add(label)
+        for c, labels in carried.items():
+            row = table[c]
+            key = frozenset(labels)
+            row[key] = row.get(key, F(0)) + p
+    return table
+
+
 # --- comparisons -------------------------------------------------------------
 
 
@@ -363,3 +414,66 @@ def test_statement_marginals_match_per_labelling_sum(theory, policy, semantics):
             for label in StatementLabel:
                 expect = summed_statement_probability(plf, statement, label, scheme)
                 assert statement_label_probability(plf, statement, label, scheme) == expect
+
+
+def _outcome(call):
+    try:
+        return "accepted", call()
+    except DistributionError as exc:
+        return "rejected", str(exc)
+
+
+def _rows(table):
+    """Nested table as ordered lists, so equal tables also agree on order and type."""
+    return {k: [(cell, type(p), p) for cell, p in row.items()] for k, row in table.items()}
+
+
+_weights = st.sampled_from(
+    [F(0), F(-1, 3), F(1, 4), F(1, 2), F(2, 7), F(5, 11), F(4, 13), F(1), 0, 1, 2]
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), _weights), max_size=8), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_normalise_matches_fraction_sums(entries, rescale):
+    """Duplicates, zeros, negatives and ints; rescaled lists sum to exactly 1."""
+    total = sum((p for _, p in entries), F(0))
+    if rescale and total > 0 and all(p >= 0 for _, p in entries):
+        entries = [(k, p / total) for k, p in entries]
+    got, expect = _outcome(lambda: _normalise(entries)), _outcome(lambda: fraction_normalise(entries))
+    assert got[0] == expect[0]
+    if got[0] == "rejected":
+        assert got[1] == expect[1]
+    else:
+        assert [(k, type(p), p) for k, p in got[1].items()] == [
+            (k, F, p) for k, p in expect[1].items()
+        ]
+
+
+def _random_plf(graph, data):
+    """Arbitrary total {IN, OUT, UN, OFF} labellings with coprime-denominator weights."""
+    label_set = LabelSet.IN_OUT_UN_OFF
+    labels = sorted(label_set.labels, key=lambda l: l.rank)
+    ids = graph.ids()
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    entries = []
+    for _ in range(k):
+        mapping = {a: data.draw(st.sampled_from(labels)) for a in ids}
+        entries.append((Labelling.from_mapping(label_set, mapping), data.draw(_probabilities)))
+    total = sum((p for _, p in entries), F(0))
+    if total == 0:
+        reject()
+    return PLF(graph, LabellingSpec(label_set), [(l, p / total) for l, p in entries])
+
+
+@given(theories(max_rules=5), _policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_plf_tables_match_fraction_sums(theory, policy, semantics, data):
+    graph = _graph(theory, policy, max_args=8)
+    if data.draw(st.booleans()):
+        plf = plf_with_semantics(pgf_from_ptf(ptf_independent(theory), policy=policy), semantics)
+    else:
+        plf = _random_plf(graph, data)
+    assert _rows(plf.marginals) == _rows(fraction_marginals(plf))
+    assert _rows(plf.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(plf))
