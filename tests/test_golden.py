@@ -2,8 +2,11 @@
 
 ``tests/golden/`` holds the theory files, ``cases.json`` (each case's argv,
 exit code and stderr) and one ``<case>.out`` file with each case's stdout.
-``running.dl`` is the running example of ``conftest.py``; ``gadgets.dl`` and
-``odd_loop.dl`` with ``odd_loop.pag`` were written by ``perfbench/gen.py``
+``running.dl`` is the running example of ``conftest.py``, with one small
+file per distribution format (``running.ptf``, ``.pgf``, ``.plf``, ``.pef``
+and ``running.weights``); ``superior.dl`` extends it with superiority pairs,
+so that ``--policy`` changes its attacks; ``gadgets.dl`` and ``odd_loop.dl``
+with ``odd_loop.pag`` were written by ``perfbench/gen.py``
 (``preferred_theory(0, 0)`` and ``grounded_theory(0, 3)``).  The CLI runs
 inside that directory with relative paths, so the ``input`` and ``frame``
 fields carry no machine-specific path.
@@ -42,6 +45,30 @@ def cases():
         common = ["odd_loop.dl", "--frame", "pag:odd_loop.pag", "--semantics", semantics]
         out.append((f"odd_loop-pag-marginal-{semantics}", ["marginal", *common, "--scheme", "bivalent"]))
         out.append((f"odd_loop-pag-check-{semantics}", ["check", *common]))
+    for labels in ("inoutun", "inoutunoff"):
+        for semantics in ("cf", "complete", "grounded", "preferred", "stable"):
+            out.append((f"running-label-{semantics}-{labels}",
+                        ["label", "running.dl", "--semantics", semantics, "--labels", labels]))
+    out.append(("running-label-complete-inoutunoff-legal",
+                ["label", "running.dl", "--semantics", "complete", "--labels", "inoutunoff",
+                 "--legal-only"]))
+    # cf and {IN,OUT,UN,OFF} labellings of these run to 30k-340k outcomes
+    for theory in ("gadgets", "odd_loop"):
+        for semantics in ("complete", "preferred", "stable"):
+            out.append((f"{theory}-label-{semantics}-inoutun",
+                        ["label", f"{theory}.dl", "--semantics", semantics]))
+    for theory in ("running", "superior", "gadgets", "odd_loop"):
+        for policy in ("last_link", "none"):
+            common = [f"{theory}.dl", "--policy", policy]
+            out.append((f"{theory}-args-{policy}", ["args", *common]))
+            out.append((f"{theory}-graph-{policy}", ["graph", *common]))
+            out.append((f"{theory}-graph-dot-{policy}", ["graph", *common, "--format", "dot"]))
+    for kind in ("ptf", "pgf", "plf", "pef"):
+        out.append((f"running-marginal-{kind}",
+                    ["marginal", "running.dl", "--frame", f"{kind}:running.{kind}"]))
+    out.append(("running-marginal-preferred-weights",
+                ["marginal", "running.dl", "--semantics", "preferred",
+                 "--weights", "running.weights"]))
     return out
 
 
@@ -66,8 +93,16 @@ def test_cli_output_matches_golden(name, argv, monkeypatch):
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def test_every_case_is_recorded_and_every_recording_is_a_case():
+    names = sorted(name for name, _ in cases())
+    assert sorted(_recorded()) == names
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == names
+
+
 def record():
     os.chdir(GOLDEN)
+    for path in GOLDEN.glob("*.out"):
+        path.unlink()
     manifest = []
     for name, argv in cases():
         code, stdout, stderr = run_cli(argv)
