@@ -20,7 +20,6 @@ from .construct import (
     build_arguments,
     build_graph,
     derive_attacks,
-    enumerate_subtheories,
     induced_subgraph,
     is_legal,
     is_rule_complete,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .core import (
     Argument,
@@ -34,7 +34,9 @@ def build_arguments(
     An argument applies its top rule to child arguments for the plain body
     literals, in body order.  No rule id may occur twice on a root-to-leaf
     path, which keeps the set finite even for cyclic rule bases; the same rule
-    may still appear in sibling subtrees.
+    may still appear in sibling subtrees.  Construction recurses once per
+    nesting level, so a path deeper than the interpreter's recursion limit
+    allows (about 450 rules) raises CapExceededError.
     """
     by_head: Dict[Literal, List] = {}
     for rid in sorted(theory.rules):
@@ -58,7 +60,13 @@ def build_arguments(
             if rule.id in forbidden:
                 continue
             blocked = forbidden | {rule.id}
-            child_choices = [args_for(b, blocked) for b in rule.body_plain]
+            try:
+                child_choices = [args_for(b, blocked) for b in rule.body_plain]
+            except RecursionError:
+                raise CapExceededError(
+                    f"arguments nest more than {len(blocked)} rule applications deep,"
+                    " beyond the recursion limit"
+                ) from None
             for combo in itertools.product(*child_choices):
                 out.append(record(Argument(rule.id, rule.head, combo, rule.body_naf)))
         return out
@@ -141,13 +149,15 @@ def build_graph(
 
 
 def induced_subgraph(graph: ArgumentationGraph, ids: Iterable[str]) -> ArgumentationGraph:
+    """The graph restricted to ``ids``; arguments keep the parent's sorted order."""
     keep = set(ids)
-    unknown = keep - set(graph.arguments)
+    unknown = keep - graph.arguments.keys()
     if unknown:
         raise ValueError(f"unknown argument ids: {sorted(unknown)}")
+    kept = [i for i in graph.ids() if i in keep]
     return ArgumentationGraph(
-        arguments={i: graph.arguments[i] for i in keep},
-        attacks=frozenset((b, a) for (b, a) in graph.attacks if b in keep and a in keep),
+        arguments={i: graph.arguments[i] for i in kept},
+        attacks=frozenset((b, a) for a in kept for b in graph.attackers[a] if b in keep),
         sub_edges=frozenset(
             (b, a) for (b, a) in graph.sub_edges if b in keep and a in keep
         ),
@@ -183,25 +193,6 @@ def is_rule_complete(graph: ArgumentationGraph, ids: Iterable[str]) -> bool:
 def is_legal(graph: ArgumentationGraph, ids: Iterable[str]) -> bool:
     ids = set(ids)
     return is_subargument_complete(graph, ids) and is_rule_complete(graph, ids)
-
-
-def enumerate_subtheories(
-    theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RULES
-) -> Iterator[Tuple[FrozenSet[str], DefeasibleTheory]]:
-    """All rule subsets with their subtheories, largest-first.
-
-    Order is deterministic: rule ids are sorted and subsets walk from the full
-    set down to the empty set, dropping later rules first.
-    """
-    rids = sorted(theory.rules)
-    if len(rids) > max_rules:
-        raise CapExceededError(
-            f"{len(rids)} rules exceeds the subtheory enumeration cap of {max_rules}"
-        )
-    n = len(rids)
-    for mask in range(2**n - 1, -1, -1):
-        keep = frozenset(rid for i, rid in enumerate(rids) if mask & (1 << (n - 1 - i)))
-        yield keep, theory.restricted_to(keep)
 
 
 def to_dot(graph: ArgumentationGraph) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
 
@@ -96,25 +97,6 @@ class DefeasibleTheory:
             out.add(b)
         return frozenset(out)
 
-    def restricted_to(self, rule_ids: Iterable[str]) -> "DefeasibleTheory":
-        """Subtheory keeping only the given rules.
-
-        The conflict relation is untouched; superiority pairs are kept only
-        when both rules survive.
-        """
-        keep = set(rule_ids)
-        unknown = keep - set(self.rules)
-        if unknown:
-            raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-        return DefeasibleTheory(
-            rules={rid: r for rid, r in self.rules.items() if rid in keep},
-            conflicts=self.conflicts,
-            superiority=frozenset(
-                (s, w) for (s, w) in self.superiority if s in keep and w in keep
-            ),
-            rule_probs={rid: p for rid, p in self.rule_probs.items() if rid in keep},
-        )
-
 
 def close_conflicts(theory: DefeasibleTheory) -> FrozenSet[Tuple[Literal, Literal]]:
     """Declared conflict pairs plus both complement pairs for every literal.
@@ -171,28 +153,36 @@ class ArgumentationGraph:
 
     Well-formedness is checked on construction: the subargument relation is
     antireflexive and acyclic, and an attack on an argument extends to every
-    argument having it as a direct subargument.
+    argument having it as a direct subargument.  The check leaves behind the
+    index every layer reads: ``attackers`` maps each id to the frozenset of
+    its attackers, and :meth:`ids` is the sorted id tuple.
     """
 
     arguments: Mapping[str, Argument]
     attacks: FrozenSet[Tuple[str, str]]
     sub_edges: FrozenSet[Tuple[str, str]]
+    attackers: Mapping[str, FrozenSet[str]] = field(init=False, repr=False, compare=False)
+    _ids: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = set(self.arguments)
+        known = self.arguments.keys()
         for x, y in self.attacks | self.sub_edges:
-            if x not in ids or y not in ids:
+            if x not in known or y not in known:
                 raise ValueError(f"edge ({x}, {y}) mentions unknown argument")
         self._check_sub_acyclic()
-        attackers: Dict[str, Set[str]] = {}
+        ids = tuple(sorted(self.arguments))
+        attackers: Dict[str, Set[str]] = {a: set() for a in ids}
         for attacker, target in self.attacks:
-            attackers.setdefault(target, set()).add(attacker)
+            attackers[target].add(attacker)
         for b, a in self.sub_edges:
-            missing = attackers.get(b, set()) - attackers.get(a, set())
+            missing = attackers[b] - attackers[a]
             if missing:
                 raise ValueError(
                     f"attack ({min(missing)}, {b}) does not extend to parent {a}"
                 )
+        frozen = MappingProxyType({a: frozenset(s) for a, s in attackers.items()})
+        object.__setattr__(self, "attackers", frozen)
+        object.__setattr__(self, "_ids", ids)
 
     def _check_sub_acyclic(self):
         children: Dict[str, List[str]] = {}
@@ -216,11 +206,9 @@ class ArgumentationGraph:
             if node not in state:
                 visit(node)
 
-    def ids(self) -> List[str]:
-        return sorted(self.arguments)
-
-    def attackers_of(self, arg_id: str) -> List[str]:
-        return sorted(b for (b, a) in self.attacks if a == arg_id)
+    def ids(self) -> Tuple[str, ...]:
+        """Argument ids in sorted order, the order of every labelling's entries."""
+        return self._ids
 
     def without_sub_edges(self) -> "ArgumentationGraph":
         """Abstract view of the graph, subargument structure dropped."""
@@ -270,7 +258,19 @@ class Labelling:
     entries: Tuple[Tuple[str, ArgLabel], ...]
 
     @staticmethod
+    def over(
+        graph: ArgumentationGraph, label_set: LabelSet, labels: Iterable[ArgLabel]
+    ) -> "Labelling":
+        """Labelling of every graph argument, ``labels`` given in ``graph.ids()`` order.
+
+        For labels the engine computes itself: they are neither checked against
+        the label set nor sorted again.
+        """
+        return Labelling(label_set, tuple(zip(graph.ids(), labels, strict=True)))
+
+    @staticmethod
     def from_mapping(label_set: LabelSet, mapping: Mapping[str, ArgLabel]) -> "Labelling":
+        """Checked labelling from outside input: labels must lie in the label set."""
         labels = label_set.labels
         for arg_id, label in mapping.items():
             if label not in labels:
@@ -294,10 +294,6 @@ class Labelling:
     def sort_key(self) -> Tuple[int, ...]:
         """Deterministic order: label ranks in canonical-id order."""
         return tuple(l.rank for _, l in self.entries)
-
-    def restricted(self, ids: Iterable[str]) -> "Labelling":
-        keep = set(ids)
-        return Labelling(self.label_set, tuple(e for e in self.entries if e[0] in keep))
 
     def __str__(self) -> str:
         body = ", ".join(f"{a}={l.value}" for a, l in self.entries)

@@ -315,8 +315,8 @@ def _plf_from_sets(
     """Labelling frame marking each outcome's members ``member``, the rest ``other``."""
 
     def labelling(subset: FrozenSet[str]) -> Labelling:
-        mapping = {a: member if a in subset else other for a in graph.arguments}
-        return Labelling.from_mapping(label_set, mapping)
+        labels = (member if a in subset else other for a in graph.ids())
+        return Labelling.over(graph, label_set, labels)
 
     return PLF(graph, LabellingSpec(label_set), ((labelling(s), p) for s, p in probs.items()))
 

@@ -208,9 +208,8 @@ def check_properties(
     founded_applicable = plf.spec.semantics in _COMPLETE_FAMILY
     foundedness = PropertyResult("foundedness", applicable=founded_applicable, holds=True)
     if founded_applicable:
-        attacked = {a for _, a in graph.attacks}
         for a in ids:
-            if a in attacked:
+            if graph.attackers[a]:
                 continue
             certain = p(a, ArgLabel.IN)
             if has_off:
@@ -271,11 +270,8 @@ def check_properties(
     # Diagnostic: lower bound on acceptance from attacker acceptance.
     optimism = PropertyResult("optimism", applicable=has_in, holds=True, mandatory=False)
     if has_in:
-        attackers: Dict[str, List[str]] = {}
-        for b, a in graph.attacks:
-            attackers.setdefault(a, []).append(b)
         for a in ids:
-            bound = 1 - sum((p(b, ArgLabel.IN) for b in attackers.get(a, ())), ZERO)
+            bound = 1 - sum((p(b, ArgLabel.IN) for b in graph.attackers[a]), ZERO)
             if p(a, ArgLabel.IN) < bound:
                 optimism.holds = False
                 optimism.violations.append(a)

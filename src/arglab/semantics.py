@@ -17,6 +17,11 @@ nothing UN.  Every other family is enumerated exhaustively: 2^n subsets or
 3^n assignments for n arguments.  Every enumeration is capped at
 MAX_ENUM_ARGUMENTS arguments and is deterministic: results are sorted by the
 label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
+
+Every step reads the index the graph keeps from its validation:
+``graph.attackers`` for the attackers of each argument and ``graph.ids()``
+for the sorted id order.  Labellings are built with :meth:`Labelling.over`,
+their labels listed in that order, so none is sorted or checked again.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet
 from .construct import induced_subgraph, is_legal, is_rule_complete, is_subargument_complete
@@ -72,23 +77,15 @@ class LabellingSpec:
             raise ValueError("structural criteria only apply to {ON,OFF} specs")
 
 
-def _attackers(graph: ArgumentationGraph) -> Dict[str, Set[str]]:
-    att: Dict[str, Set[str]] = {i: set() for i in graph.arguments}
-    for b, a in graph.attacks:
-        att[a].add(b)
-    return att
-
-
-def _grounded_sets(
-    graph: ArgumentationGraph, att: Dict[str, Set[str]]
-) -> Tuple[Set[str], Set[str]]:
+def _grounded_sets(graph: ArgumentationGraph) -> Tuple[Set[str], Set[str]]:
     """IN and OUT sets of the grounded labelling, by least fixpoint."""
+    att = graph.attackers
     in_set: Set[str] = set()
     out_set: Set[str] = set()
     changed = True
     while changed:
         changed = False
-        for a in graph.arguments:
+        for a in graph.ids():
             if a in in_set or a in out_set:
                 continue
             if att[a] <= out_set:
@@ -102,13 +99,10 @@ def _grounded_sets(
 
 def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
     """Least fixpoint computation of the unique grounded labelling."""
-    att = _attackers(graph)
-    return _labelling_from_in_set(graph, att, frozenset(_grounded_sets(graph, att)[0]))
+    return _labelling_from_in_set(graph, frozenset(_grounded_sets(graph)[0]))
 
 
-def _complete_in_sets(
-    graph: ArgumentationGraph, att: Dict[str, Set[str]]
-) -> List[FrozenSet[str]]:
+def _complete_in_sets(graph: ArgumentationGraph) -> List[FrozenSet[str]]:
     """IN-sets of complete labellings, ordered as the bit vectors over sorted ids.
 
     A complete labelling is determined by its IN-set: the OUT-set is exactly
@@ -122,8 +116,9 @@ def _complete_in_sets(
     neither attack grounded IN ones nor are attacked by them), so it is
     tested on the grounded-UN arguments only.
     """
-    g_in, g_out = _grounded_sets(graph, att)
-    undecided = sorted(a for a in graph.arguments if a not in g_in and a not in g_out)
+    att = graph.attackers
+    g_in, g_out = _grounded_sets(graph)
+    undecided = [a for a in graph.ids() if a not in g_in and a not in g_out]
     targets: Dict[str, Set[str]] = {a: set() for a in undecided}
     for b, a in graph.attacks:
         if b in targets:
@@ -166,38 +161,32 @@ def _maximal(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
     return kept
 
 
-def _labelling_from_in_set(
-    graph: ArgumentationGraph, att: Dict[str, Set[str]], s: FrozenSet[str]
-) -> Labelling:
-    mapping = {}
-    for a in graph.arguments:
-        if a in s:
-            mapping[a] = ArgLabel.IN
-        elif att[a] & s:
-            mapping[a] = ArgLabel.OUT
-        else:
-            mapping[a] = ArgLabel.UN
-    return Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping)
+def _labelling_from_in_set(graph: ArgumentationGraph, s: FrozenSet[str]) -> Labelling:
+    att = graph.attackers
+    labels = (
+        ArgLabel.IN if a in s else ArgLabel.OUT if att[a] & s else ArgLabel.UN
+        for a in graph.ids()
+    )
+    return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
 def _cf_labellings(graph: ArgumentationGraph) -> List[Labelling]:
     """Conflict-free labellings: no IN argument has an IN attacker, and every
     OUT argument has at least one IN attacker."""
-    ids = sorted(graph.arguments)
-    att = _attackers(graph)
+    ids = graph.ids()
+    att = graph.attackers
     out: List[Labelling] = []
-    for bits in itertools.product((False, True), repeat=len(ids)):
-        s = {a for a, b in zip(ids, bits) if b}
+    for s in _subsets(ids):
         if any(att[a] & s for a in s):
             continue
-        rest = [a for a in ids if a not in s]
         choices = [
-            (ArgLabel.OUT, ArgLabel.UN) if att[a] & s else (ArgLabel.UN,) for a in rest
+            (ArgLabel.IN,) if a in s
+            else (ArgLabel.OUT, ArgLabel.UN) if att[a] & s
+            else (ArgLabel.UN,)
+            for a in ids
         ]
         for combo in itertools.product(*choices):
-            mapping = {a: ArgLabel.IN for a in s}
-            mapping.update(zip(rest, combo))
-            out.append(Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping))
+            out.append(Labelling.over(graph, LabelSet.IN_OUT_UN, combo))
     return out
 
 
@@ -206,16 +195,16 @@ def _semantics_labellings(graph: ArgumentationGraph, semantics: Semantics) -> Li
         return _cf_labellings(graph)
     if semantics is Semantics.GROUNDED:
         return [grounded_labelling(graph)]
-    att = _attackers(graph)
-    in_sets = _complete_in_sets(graph, att)
+    att = graph.attackers
+    in_sets = _complete_in_sets(graph)
     if semantics is Semantics.PREFERRED:
         in_sets = _maximal(in_sets)
     elif semantics is Semantics.STABLE:  # nothing left UN
-        in_sets = [s for s in in_sets if all(a in s or att[a] & s for a in graph.arguments)]
-    return [_labelling_from_in_set(graph, att, s) for s in in_sets]
+        in_sets = [s for s in in_sets if all(a in s or att[a] & s for a in graph.ids())]
+    return [_labelling_from_in_set(graph, s) for s in in_sets]
 
 
-def _subsets(ids: List[str]):
+def _subsets(ids: Sequence[str]) -> Iterator[FrozenSet[str]]:
     for bits in itertools.product((False, True), repeat=len(ids)):
         yield frozenset(a for a, b in zip(ids, bits) if b)
 
@@ -242,23 +231,21 @@ def labellings(
 ) -> List[Labelling]:
     """All labellings the given LabellingSpec admits, in deterministic order."""
     _check_cap(graph, max_args)
-    ids = sorted(graph.arguments)
+    ids = graph.ids()
     result: List[Labelling] = []
 
     if spec.label_set is LabelSet.ON_OFF:
         admit = _CRITERION_TESTS[spec.criterion]
         for s in _subsets(ids):
             if admit(graph, s):
-                mapping = {a: (ArgLabel.ON if a in s else ArgLabel.OFF) for a in ids}
-                result.append(Labelling.from_mapping(LabelSet.ON_OFF, mapping))
+                labels = (ArgLabel.ON if a in s else ArgLabel.OFF for a in ids)
+                result.append(Labelling.over(graph, LabelSet.ON_OFF, labels))
 
     elif spec.label_set is LabelSet.IN_OUT_UN:
         if spec.semantics is None:
             labels = (ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN)
             for combo in itertools.product(labels, repeat=len(ids)):
-                result.append(
-                    Labelling.from_mapping(LabelSet.IN_OUT_UN, dict(zip(ids, combo)))
-                )
+                result.append(Labelling.over(graph, LabelSet.IN_OUT_UN, combo))
         else:
             result = _semantics_labellings(graph, spec.semantics)
 
@@ -278,6 +265,6 @@ def labellings(
 
 def combine_with_off(graph: ArgumentationGraph, inner: Labelling) -> Labelling:
     """Extend a subgraph labelling to the whole graph with OFF outside."""
-    mapping = {a: ArgLabel.OFF for a in graph.arguments}
-    mapping.update(inner.mapping)
-    return Labelling.from_mapping(LabelSet.IN_OUT_UN_OFF, mapping)
+    mapping = inner.mapping
+    labels = (mapping.get(a, ArgLabel.OFF) for a in graph.ids())
+    return Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, labels)

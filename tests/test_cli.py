@@ -81,6 +81,18 @@ def test_marginal_independent_grounded(theory_file, capsys):
     assert labels["off"] == {"num": 9, "den": 10, "approx": "0.900000"}
 
 
+def test_deep_theory_exits_with_cap_in_every_subcommand(tmp_path, capsys):
+    """A 600-rule chain has 600 arguments but nests them past the recursion limit."""
+    lines = ["r0 : => a0."] + [f"r{i} : a{i - 1} => a{i}." for i in range(1, 600)]
+    path = tmp_path / "chain.dl"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("args", "graph", "label", "marginal", "check"):
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: arguments nest more than ")
+        assert err.endswith("rule applications deep, beyond the recursion limit\n")
+
+
 def test_marginal_preferred_with_weights(theory_file, tmp_path, capsys):
     wfile = tmp_path / "weights.dl"
     wfile.write_text("{rc()=IN} : 2/3.\n{rd()=IN} : 1/3.\n")

@@ -6,7 +6,6 @@ from arglab import (
     build_arguments,
     build_graph,
     derive_attacks,
-    enumerate_subtheories,
     induced_subgraph,
     is_legal,
     is_rule_complete,
@@ -151,23 +150,6 @@ def test_legal_sets(chain_graph):
     assert len(legal) == 10
     assert not is_legal(chain_graph, {C_A, C_B, C_AB, C_BC})
     assert not is_legal(chain_graph, {C_A, C_B, C_AB, C_ABC})
-
-
-def test_enumerate_subtheories(chain_theory):
-    subs = list(enumerate_subtheories(chain_theory))
-    assert len(subs) == 16
-    assert subs[0][0] == frozenset({"r1", "r2", "r3", "r4"})
-    assert subs[1][0] == frozenset({"r1", "r2", "r3"})
-    assert subs[-1][0] == frozenset()
-    # superiority pairs survive only when both rules do
-    theory = parse_theory("r1 : => a.\nr2 : => -a.\nr1 > r2.\n")
-    for keep, sub in enumerate_subtheories(theory):
-        if keep == {"r1"}:
-            assert sub.superiority == frozenset()
-        if keep == {"r1", "r2"}:
-            assert sub.superiority == {("r1", "r2")}
-    with pytest.raises(CapExceededError):
-        list(enumerate_subtheories(chain_theory, max_rules=3))
 
 
 def test_induced_subgraph(running_graph):

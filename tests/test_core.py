@@ -103,7 +103,7 @@ def test_graph_requires_attack_propagation_to_parents():
         frozenset({(c.canonical_id, a.canonical_id), (c.canonical_id, b.canonical_id)}),
         sub,
     )
-    assert g.attackers_of(b.canonical_id) == [c.canonical_id]
+    assert sorted(g.attackers[b.canonical_id]) == [c.canonical_id]
 
 
 def test_graph_rejects_unknown_edge_endpoints():

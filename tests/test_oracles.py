@@ -2,12 +2,14 @@
 
 Each oracle below is the straightforward version of a rewritten path: attack
 derivation over every target, subargument and attacker; graph validation over
-every subargument edge and attack; the pushforward that rebuilds arguments per
-rule subset; the product over all 2^n subsets; the complete, preferred and
-stable labellings found by testing all 2^n candidate IN-sets; the argument
-and statement marginals that rescan the support on every call; and the
-distribution merge and marginal tables that add one ``Fraction`` at a time.
-Results must agree exactly, under both preference policies.
+every subargument edge and attack; the attackers index inverted from the
+attack set; the pushforward that rebuilds arguments per rule subset; the
+product over all 2^n subsets; the complete, preferred and stable labellings
+found by testing all 2^n candidate IN-sets; labellings built through the
+sorting, checking ``Labelling.from_mapping``; the argument and statement
+marginals that rescan the support on every call; and the distribution merge
+and marginal tables that add one ``Fraction`` at a time.  Results must agree
+exactly, under both preference policies.
 """
 
 import itertools
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from arglab import (
     PAG,
+    PEF,
+    PGF,
     PTF,
     ArgLabel,
     Argument,
@@ -30,6 +34,7 @@ from arglab import (
     LabellingSpec,
     LabelSet,
     Literal,
+    OnOffCriterion,
     PLF,
     PreferencePolicy,
     Rule,
@@ -41,12 +46,15 @@ from arglab import (
     build_graph,
     close_conflicts,
     derive_attacks,
+    grounded_labelling,
     induced_subgraph,
     is_subargument_complete,
     labellings,
     lit,
     pag_to_pgf,
     pgf_from_ptf,
+    plf_from_pef,
+    plf_from_pgf,
     plf_with_semantics,
     ptf_independent,
     statement_label,
@@ -145,11 +153,34 @@ def attacks_extend_quadratic(attacks, sub_edges):
     )
 
 
+def inverted_attacks(graph):
+    """Attackers of every argument, read off the attack set."""
+    att = {i: set() for i in graph.arguments}
+    for b, a in graph.attacks:
+        att[a].add(b)
+    return att
+
+
+def restricted_to(theory, rule_ids):
+    """Subtheory keeping only the given rules.
+
+    The conflict relation is untouched; superiority pairs are kept only when
+    both rules survive.
+    """
+    keep = set(rule_ids)
+    return DefeasibleTheory(
+        rules={rid: r for rid, r in theory.rules.items() if rid in keep},
+        conflicts=theory.conflicts,
+        superiority=frozenset((s, w) for (s, w) in theory.superiority if s in keep and w in keep),
+        rule_probs={rid: p for rid, p in theory.rule_probs.items() if rid in keep},
+    )
+
+
 def rebuilt_pushforward(ptf):
     """Each rule subset's subtheory builds its own arguments."""
     probs = {}
     for subset, p in ptf.probs.items():
-        key = frozenset(build_arguments(ptf.theory.restricted_to(subset)))
+        key = frozenset(build_arguments(restricted_to(ptf.theory, subset)))
         probs[key] = probs.get(key, F(0)) + p
     return probs
 
@@ -325,6 +356,52 @@ def test_graph_validation_matches_quadratic_check(theory, policy, data):
     assert accepted == attacks_extend_quadratic(attacks, graph.sub_edges)
 
 
+@given(theories(), _policies, st.data())
+@settings(max_examples=150, deadline=None)
+def test_attackers_index_matches_inverted_attacks(theory, policy, data):
+    graph = _graph(theory, policy, max_args=60)
+    kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
+    sub = induced_subgraph(graph, kept)
+    for g in (graph, sub):
+        assert dict(g.attackers) == inverted_attacks(g)
+        assert all(type(att) is frozenset for att in g.attackers.values())
+        assert g.ids() == tuple(sorted(g.arguments))
+    # the subgraph walks the parent's sorted ids, whatever the set's own order
+    assert list(sub.arguments) == list(sub.ids())
+
+
+def _checked(labelling):
+    """The labelling rebuilt through the sorting, checking constructor."""
+    return Labelling.from_mapping(labelling.label_set, labelling.mapping)
+
+
+@given(theories(max_rules=5), _policies, st.data())
+@settings(max_examples=60, deadline=None)
+def test_engine_labellings_match_from_mapping(theory, policy, data):
+    """Labellings the engine builds in id order equal their sorted, checked rebuild."""
+    graph = _graph(theory, policy, max_args=5)
+    ids = graph.ids()
+    if not ids:
+        reject()
+    built = [grounded_labelling(graph)]
+    for criterion in OnOffCriterion:
+        built += labellings(graph, LabellingSpec(LabelSet.ON_OFF, criterion=criterion))
+    for semantics in [None, *Semantics]:
+        built += labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics))
+    for semantics, legal_only in itertools.product(Semantics, (False, True)):
+        spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
+        built += labellings(graph, spec)
+    subsets = data.draw(st.lists(st.frozensets(st.sampled_from(ids)), min_size=1, max_size=4))
+    sub = induced_subgraph(graph, subsets[0])
+    inner_spec = LabellingSpec(LabelSet.IN_OUT_UN, semantics=data.draw(st.sampled_from(Semantics)))
+    built += [combine_with_off(graph, inner) for inner in labellings(sub, inner_spec)]
+    uniform = [(s, F(1, len(subsets))) for s in subsets]
+    built += list(plf_from_pgf(PGF(graph, uniform)).probs)
+    built += list(plf_from_pef(PEF(graph, uniform)).probs)
+    for labelling in built:
+        assert labelling == _checked(labelling)
+
+
 _SEARCHED = st.sampled_from([Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE])
 
 
@@ -337,7 +414,7 @@ def _searched(graph, semantics):
 def test_labelling_search_matches_brute_force_on_abstract_graphs(graph, semantics):
     assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
     # the search also finds the IN-sets in the scan's order
-    in_sets = semantics_module._complete_in_sets(graph, semantics_module._attackers(graph))
+    in_sets = semantics_module._complete_in_sets(graph)
     assert in_sets == brute_force_complete_in_sets(graph)
 
 
