@@ -36,7 +36,8 @@ def build_arguments(
     path, which keeps the set finite even for cyclic rule bases; the same rule
     may still appear in sibling subtrees.  Construction recurses once per
     nesting level, so a path deeper than the interpreter's recursion limit
-    allows (about 450 rules) raises CapExceededError.
+    allows (about 490 rules under the default limit of 1000) raises
+    CapExceededError.
     """
     by_head: Dict[Literal, List] = {}
     for rid in sorted(theory.rules):
