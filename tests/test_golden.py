@@ -7,7 +7,11 @@ file per distribution format (``running.ptf``, ``.pgf``, ``.plf``, ``.pef``
 and ``running.weights``); ``superior.dl`` extends it with superiority pairs,
 so that ``--policy`` changes its attacks; ``gadgets.dl`` and ``odd_loop.dl``
 with ``odd_loop.pag`` were written by ``perfbench/gen.py``
-(``preferred_theory(0, 0)`` and ``grounded_theory(0, 3)``).  The CLI runs
+(``preferred_theory(0, 0)`` and ``grounded_theory(0, 3)``).  ``legal.dl``
+derives ``b`` from either of two rules for ``a``, so a subgraph holding both
+of them but only one argument for ``b`` is subargument-complete and not
+legal; ``legal.pgf`` puts mass on such a subgraph.  ``wide.dl`` has 21
+uncertain rules, one more than the ``independent`` frame takes.  The CLI runs
 inside that directory with relative paths, so the ``input`` and ``frame``
 fields carry no machine-specific path.
 
@@ -69,6 +73,27 @@ def cases():
     out.append(("running-marginal-preferred-weights",
                 ["marginal", "running.dl", "--semantics", "preferred",
                  "--weights", "running.weights"]))
+    for kind in ("ptf", "pgf", "plf", "pef"):
+        out.append((f"running-check-{kind}",
+                    ["check", "running.dl", "--frame", f"{kind}:running.{kind}"]))
+    for legal in ([], ["--legal-only"]):
+        suffix = "-legal" if legal else ""
+        out.append((f"legal-label-complete-inoutunoff{suffix}",
+                    ["label", "legal.dl", "--semantics", "complete", "--labels", "inoutunoff",
+                     *legal]))
+        out.append((f"legal-marginal-pgf{suffix}",
+                    ["marginal", "legal.dl", "--frame", "pgf:legal.pgf", *legal]))
+    out.append(("legal-marginal-legal", ["marginal", "legal.dl", "--legal-only"]))
+    out.append(("legal-check-legal", ["check", "legal.dl", "--legal-only"]))
+    out.append(("legal-check-pgf-legal",
+                ["check", "legal.dl", "--frame", "pgf:legal.pgf", "--legal-only"]))
+    # one exit-3 case per cap
+    out.append(("running-args-cap", ["args", "running.dl", "--max-args", "2"]))
+    out.append(("running-label-cap", ["label", "running.dl", "--max-args-enum", "2"]))
+    out.append(("running-marginal-cap", ["marginal", "running.dl", "--max-args", "2"]))
+    out.append(("odd_loop-pag-check-cap",
+                ["check", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--max-args", "2"]))
+    out.append(("wide-marginal-cap", ["marginal", "wide.dl"]))
     return out
 
 
