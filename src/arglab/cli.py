@@ -12,18 +12,14 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .core import ArgLabel, Labelling, LabelSet, Literal
-from .construct import (
-    MAX_ARGUMENTS,
-    PreferencePolicy,
-    build_graph,
-    to_dot,
-)
+from .core import ArgumentationGraph, Labelling, LabelSet, Literal
+from .construct import PreferencePolicy, build_graph, to_dot
 from .dsl import (
     parse_argument_probabilities,
     parse_assignment_distribution,
@@ -111,68 +107,71 @@ def _load_weights(path: Optional[str]) -> Optional[SublabellingWeights]:
     return SublabellingWeights.from_entries(entries)
 
 
+def _load_graph(args, theory) -> ArgumentationGraph:
+    """The theory's graph under --policy.
+
+    --max-args caps construction when the subcommand takes it and it is set;
+    otherwise ``build_graph``'s own cap applies.
+    """
+    caps = {"max_args": args.max_args} if "max_args" in args else {}
+    return build_graph(theory, policy=PreferencePolicy(args.policy), **caps)
+
+
 def _build_plf(args, theory) -> PLF:
     """Resolve the --frame option into a labelling frame.
 
     Rule-subset frames push the theory forward and build their own graph; the
-    file-based frames over arguments get one built here.
+    file-based frames over arguments load it here.  ``plf:`` and ``pef:``
+    frames are labellings already: --semantics labels every other frame, and
+    --weights and --legal-only apply only there.
     """
+    spec = args.frame
+    kind, colon, file_part = spec.partition(":")
+    if not colon and spec != "independent":
+        raise DistributionError(f"bad frame spec {spec!r}")
+    if kind in ("plf", "pef"):
+        for flag, value in (("--weights", args.weights), ("--legal-only", args.legal_only)):
+            if value:
+                raise DistributionError(
+                    f"{flag} does not apply to a {kind}: frame, which no semantics labels"
+                )
     semantics = Semantics(args.semantics)
     weights = _load_weights(args.weights)
-    policy = PreferencePolicy(args.policy)
-    spec = args.frame
-    max_args = args.max_args
-
-    def pipeline(pgf: PGF) -> PLF:
-        return plf_with_semantics(
-            pgf,
-            semantics,
-            weights=weights,
-            legal_only=args.legal_only,
-            max_args=max_args,
-        )
-
-    if spec == "independent":
-        ptf = ptf_independent(theory)
-        return pipeline(pgf_from_ptf(ptf, policy=policy, max_args=MAX_ARGUMENTS))
-    if ":" not in spec:
-        raise DistributionError(f"bad frame spec {spec!r}")
-    kind, _, file_part = spec.partition(":")
-    text = Path(file_part).read_text()
-    if kind == "ptf":
-        ptf = PTF(theory, parse_subset_distribution(text))
-        return pipeline(pgf_from_ptf(ptf, policy=policy, max_args=MAX_ARGUMENTS))
-    graph = build_graph(theory, policy=policy, max_args=MAX_ARGUMENTS)
-    if kind == "pgf":
-        return pipeline(PGF(graph, parse_subset_distribution(text)))
-    if kind == "plf":
-        entries = parse_assignment_distribution(text)
-        used = {l for assignment, _ in entries for l in assignment.values()}
-        if used <= {ArgLabel.ON, ArgLabel.OFF}:
-            label_set = LabelSet.ON_OFF
-        elif ArgLabel.OFF in used:
-            label_set = LabelSet.IN_OUT_UN_OFF
+    text = Path(file_part).read_text() if colon else ""
+    if not colon or kind == "ptf":
+        ptf = PTF(theory, parse_subset_distribution(text)) if colon else ptf_independent(theory)
+        pgf = pgf_from_ptf(ptf, policy=PreferencePolicy(args.policy))
+    else:
+        graph = _load_graph(args, theory)
+        if kind == "plf":
+            entries = parse_assignment_distribution(text)
+            used = {l for assignment, _ in entries for l in assignment.values()}
+            # the smallest label set holding every label used; a mix that none
+            # holds fails in from_mapping on its first ON label
+            label_set = next((s for s in LabelSet if used <= s.labels), LabelSet.IN_OUT_UN_OFF)
+            sem = semantics if label_set is not LabelSet.ON_OFF else None
+            return PLF(
+                graph,
+                LabellingSpec(label_set, semantics=sem),
+                [(Labelling.from_mapping(label_set, a), p) for a, p in entries],
+            )
+        if kind == "pef":
+            return plf_from_pef(PEF(graph, parse_subset_distribution(text)))
+        if kind == "pgf":
+            pgf = PGF(graph, parse_subset_distribution(text))
+        elif kind == "pag":
+            pag = PAG(graph.without_sub_edges(), parse_argument_probabilities(text))
+            pgf = pag_to_pgf(pag, max_args=args.max_args_enum)
         else:
-            label_set = LabelSet.IN_OUT_UN
-        sem = semantics if label_set is not LabelSet.ON_OFF else None
-        plf_spec = LabellingSpec(label_set, semantics=sem, legal_only=args.legal_only)
-        return PLF(
-            graph, plf_spec, [(Labelling.from_mapping(label_set, a), p) for a, p in entries]
-        )
-    if kind == "pef":
-        return plf_from_pef(PEF(graph, parse_subset_distribution(text)))
-    if kind == "pag":
-        arg_probs = parse_argument_probabilities(text)
-        pag = PAG(graph.without_sub_edges(), arg_probs)
-        return pipeline(pag_to_pgf(pag, max_args=max_args))
-    raise DistributionError(f"unknown frame kind {kind!r}")
+            raise DistributionError(f"unknown frame kind {kind!r}")
+    return plf_with_semantics(
+        pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=args.max_args_enum
+    )
 
 
 def cmd_args(args) -> int:
     path = Path(args.file)
-    graph = build_graph(
-        _load_theory(path), policy=PreferencePolicy(args.policy), max_args=args.max_args
-    )
+    graph = _load_graph(args, _load_theory(path))
     body = {
         "arguments": [
             {
@@ -190,9 +189,7 @@ def cmd_args(args) -> int:
 
 def cmd_graph(args) -> int:
     path = Path(args.file)
-    graph = build_graph(
-        _load_theory(path), policy=PreferencePolicy(args.policy), max_args=args.max_args
-    )
+    graph = _load_graph(args, _load_theory(path))
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
         return 0
@@ -207,9 +204,7 @@ def cmd_graph(args) -> int:
 
 def cmd_label(args) -> int:
     path = Path(args.file)
-    graph = build_graph(
-        _load_theory(path), policy=PreferencePolicy(args.policy), max_args=args.max_args
-    )
+    graph = _load_graph(args, _load_theory(path))
     spec = LabellingSpec(
         _LABEL_SETS[args.labels],
         semantics=Semantics(args.semantics),
@@ -280,16 +275,7 @@ def cmd_check(args) -> int:
         "frame": args.frame,
         "semantics": args.semantics,
         "ok": report.ok,
-        "properties": [
-            {
-                "name": r.name,
-                "applicable": r.applicable,
-                "holds": r.holds,
-                "mandatory": r.mandatory,
-                "violations": r.violations,
-            }
-            for r in report.results
-        ],
+        "properties": [asdict(r) for r in report.results],
         "justification": {
             a: justification_from_plf(plf, a).value for a in plf.graph.ids()
         },
@@ -298,88 +284,66 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 4
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    cap: int = MAX_ARGUMENTS,
-    cap_help: str = "cap on constructed arguments",
-) -> None:
-    parser.add_argument("file", help="theory file (.dl)")
-    parser.add_argument(
-        "--policy",
-        choices=[p.value for p in PreferencePolicy],
-        default=PreferencePolicy.LAST_LINK.value,
-        help="how superiority is used when deriving attacks",
-    )
-    parser.add_argument("--max-args", type=int, default=cap, help=cap_help)
-
-
-_ENUM_CAP_HELP = "cap on arguments in exhaustive labelling and subset enumeration"
-
-
-def _add_frame_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--frame",
-        default="independent",
-        help="independent, or ptf:FILE / pgf:FILE / plf:FILE / pef:FILE / pag:FILE",
-    )
-    parser.add_argument(
-        "--semantics",
-        choices=[s.value for s in Semantics],
-        default=Semantics.GROUNDED.value,
-    )
-    parser.add_argument("--weights", help="sublabelling weights file")
-    parser.add_argument("--legal-only", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arglab",
         description="Defeasible argumentation with probabilistic labellings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("args", help="enumerate arguments")
-    _add_common(p)
-    p.set_defaults(func=cmd_args)
-
-    p = sub.add_parser("graph", help="print the argumentation graph")
-    _add_common(p)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("label", help="enumerate labellings")
-    _add_common(p)
-    p.add_argument(
-        "--semantics",
-        choices=[s.value for s in Semantics],
-        default=Semantics.GROUNDED.value,
-    )
-    p.add_argument("--labels", choices=sorted(_LABEL_SETS), default="inoutun")
-    p.add_argument("--legal-only", action="store_true")
-    p.add_argument(
-        "--max-args-enum",
-        type=int,
-        default=MAX_ENUM_ARGUMENTS,
-        help="cap on arguments for exhaustive labelling enumeration",
-    )
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("marginal", help="marginal probabilities")
-    _add_common(p, MAX_ENUM_ARGUMENTS, _ENUM_CAP_HELP)
-    _add_frame_options(p)
-    p.add_argument("--target", default="all", help="arg:ID, stmt:LIT or all")
-    p.add_argument(
+    commands = {}
+    for name, func, help_text in (
+        ("args", cmd_args, "enumerate arguments"),
+        ("graph", cmd_graph, "print the argumentation graph"),
+        ("label", cmd_label, "enumerate labellings"),
+        ("marginal", cmd_marginal, "marginal probabilities"),
+        ("check", cmd_check, "property report for a frame"),
+    ):
+        # options must be spelled in full: a prefix of --max-args-enum is not it
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("file", help="theory file (.dl)")
+        p.add_argument(
+            "--policy",
+            choices=[policy.value for policy in PreferencePolicy],
+            default=PreferencePolicy.LAST_LINK.value,
+            help="how superiority is used when deriving attacks",
+        )
+        p.set_defaults(func=func)
+        commands[name] = p
+    for name in ("args", "graph", "label"):
+        commands[name].add_argument(
+            "--max-args",
+            type=int,
+            default=argparse.SUPPRESS,
+            help="cap on constructed arguments",
+        )
+    for name in ("label", "marginal", "check"):
+        commands[name].add_argument(
+            "--semantics",
+            choices=[s.value for s in Semantics],
+            default=Semantics.GROUNDED.value,
+        )
+        commands[name].add_argument("--legal-only", action="store_true")
+        commands[name].add_argument(
+            "--max-args-enum",
+            type=int,
+            default=MAX_ENUM_ARGUMENTS,
+            help="cap on arguments in exhaustive labelling and subset enumeration",
+        )
+    for name in ("marginal", "check"):
+        commands[name].add_argument(
+            "--frame",
+            default="independent",
+            help="independent, or ptf:FILE / pgf:FILE / plf:FILE / pef:FILE / pag:FILE",
+        )
+        commands[name].add_argument("--weights", help="sublabelling weights file")
+    commands["graph"].add_argument("--format", choices=["json", "dot"], default="json")
+    commands["label"].add_argument("--labels", choices=sorted(_LABEL_SETS), default="inoutun")
+    commands["marginal"].add_argument("--target", default="all", help="arg:ID, stmt:LIT or all")
+    commands["marginal"].add_argument(
         "--scheme",
         choices=[s.value for s in StatementScheme],
         default=StatementScheme.WORSTCASE.value,
     )
-    p.set_defaults(func=cmd_marginal)
-
-    p = sub.add_parser("check", help="property report for a frame")
-    _add_common(p, MAX_ENUM_ARGUMENTS, _ENUM_CAP_HELP)
-    _add_frame_options(p)
-    p.set_defaults(func=cmd_check)
-
     return parser
 
 

@@ -61,6 +61,7 @@ from .semantics import (
     MAX_ENUM_ARGUMENTS,
     LabellingSpec,
     Semantics,
+    check_cap,
     combine_with_off,
     labellings as enumerate_labellings,
 )
@@ -350,7 +351,9 @@ class SublabellingWeights:
     subgraph has a single labelling the weight is 1 regardless; when no entry
     matches any of a subgraph's labellings, the uniform distribution is used.
     Otherwise the matched weights must sum to exactly 1 across the subgraph's
-    labellings.
+    labellings.  Those labellings are {IN, OUT, UN} labellings of the
+    subgraph, so :meth:`from_entries` rejects an entry labelling an argument
+    ON or OFF: it could never match.
     """
 
     entries: Tuple[Tuple[Tuple[Tuple[str, ArgLabel], ...], Fraction], ...] = ()
@@ -363,7 +366,15 @@ class SublabellingWeights:
         for assignment, w in entries:
             if w < 0:
                 raise DistributionError(f"negative weight {w}")
-            packed.append((tuple(sorted(assignment.items())), w))
+            key = tuple(sorted(assignment.items()))
+            for arg_id, label in key:
+                if label not in LabelSet.IN_OUT_UN.labels:
+                    shown = ", ".join(f"{a}={l.value}" for a, l in key)
+                    raise DistributionError(
+                        f"weight entry {{{shown}}} labels {arg_id} {label.value}, which never "
+                        f"matches: weights choose among a subgraph's IN, OUT and UN labellings"
+                    )
+            packed.append((key, w))
         return SublabellingWeights(tuple(packed))
 
     def weights_for(self, inner_labellings: List[Labelling]) -> List[Fraction]:
@@ -439,11 +450,7 @@ def plf_from_pef(pef: PEF) -> PLF:
 
 def pag_to_pgf(pag: PAG, max_args: int = MAX_ENUM_ARGUMENTS) -> PGF:
     """Subgraph distribution of independent argument presence."""
-    n = len(pag.graph.arguments)
-    if n > max_args:
-        raise CapExceededError(
-            f"{n} arguments exceeds the subset enumeration cap of {max_args}"
-        )
+    check_cap(pag.graph, max_args)
     return PGF(pag.graph, _product(pag.arg_probs))
 
 

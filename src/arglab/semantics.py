@@ -209,7 +209,8 @@ def _subsets(ids: Sequence[str]) -> Iterator[FrozenSet[str]]:
         yield frozenset(a for a, b in zip(ids, bits) if b)
 
 
-def _check_cap(graph: ArgumentationGraph, max_args: int):
+def check_cap(graph: ArgumentationGraph, max_args: int) -> None:
+    """Raise CapExceededError when the graph has more than ``max_args`` arguments."""
     if len(graph.arguments) > max_args:
         raise CapExceededError(
             f"{len(graph.arguments)} arguments exceeds the enumeration cap of {max_args}"
@@ -230,7 +231,7 @@ def labellings(
     max_args: int = MAX_ENUM_ARGUMENTS,
 ) -> List[Labelling]:
     """All labellings the given LabellingSpec admits, in deterministic order."""
-    _check_cap(graph, max_args)
+    check_cap(graph, max_args)
     ids = graph.ids()
     result: List[Labelling] = []
 

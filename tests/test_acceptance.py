@@ -3,8 +3,10 @@
 All probability comparisons are exact (rational arithmetic); no tolerances.
 """
 
-import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arglab import (
     PAG,
@@ -36,7 +38,7 @@ from arglab import (
     statement_label_probability,
 )
 from arglab.construct import is_legal
-from randgen import random_distribution, small_graph_theory
+from strategies import capped_graph, distributions, theories
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, C_A, C_AB, C_B, C_BC
 from test_frames import CHAIN_PTF
@@ -149,81 +151,71 @@ def test_criterion_7_extension_probability_vs_labelling_frame(mutual_graph):
     _passed(7)
 
 
-def test_criterion_8_property_sweep():
-    rng = random.Random(2026)
-    checked = 0
-    attempts = 0
-    while checked < 200:
-        attempts += 1
-        assert attempts < 4000, "generator failed to produce enough theories"
-        pair = small_graph_theory(rng, max_args=8)
-        if pair is None:
-            continue
-        theory, graph = pair
-        checked += 1
-        small = len(graph.arguments) <= 6
+@given(theories(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_criterion_8_property_sweep(theory, data):
+    graph = capped_graph(theory, max_args=8, min_args=1)
+    small = len(graph.arguments) <= 6
 
-        # grounded fixpoint agrees with enumeration, which yields the
-        # inclusion-minimal IN set among complete labellings
-        grounded = grounded_labelling(graph)
-        complete = labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.COMPLETE))
-        assert grounded in complete
-        g_in = grounded.with_label(ArgLabel.IN)
-        for l in complete:
-            assert g_in <= l.with_label(ArgLabel.IN)
-        assert labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.GROUNDED)) == [grounded]
+    # grounded fixpoint agrees with enumeration, which yields the
+    # inclusion-minimal IN set among complete labellings
+    grounded = grounded_labelling(graph)
+    complete = labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.COMPLETE))
+    assert grounded in complete
+    g_in = grounded.with_label(ArgLabel.IN)
+    for l in complete:
+        assert g_in <= l.with_label(ArgLabel.IN)
+    assert labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.GROUNDED)) == [grounded]
 
-        # stable labellings leave nothing undecided and are complete
-        stable = labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.STABLE))
-        for l in stable:
-            assert l.with_label(ArgLabel.UN) == frozenset()
-            assert l in complete
+    # stable labellings leave nothing undecided and are complete
+    stable = labellings(graph, LabellingSpec(LabelSet.IN_OUT_UN, semantics=Semantics.STABLE))
+    for l in stable:
+        assert l.with_label(ArgLabel.UN) == frozenset()
+        assert l in complete
 
-        # subtheory distributions only ever hit legal subgraphs
-        pgf = pgf_from_ptf(ptf_independent(theory), max_args=500)
-        assert sum(pgf.probs.values()) == 1
-        for subset in pgf.probs:
-            assert is_legal(pgf.graph, subset)
+    # subtheory distributions only ever hit legal subgraphs
+    pgf = pgf_from_ptf(ptf_independent(theory), max_args=500)
+    assert sum(pgf.probs.values()) == 1
+    for subset in pgf.probs:
+        assert is_legal(pgf.graph, subset)
 
-        # PGF <-> PLF({ON,OFF}) round-trip
-        assert dict(pgf_from_plf(plf_from_pgf(pgf)).probs) == dict(pgf.probs)
+    # PGF <-> PLF({ON,OFF}) round-trip
+    assert dict(pgf_from_plf(plf_from_pgf(pgf)).probs) == dict(pgf.probs)
 
-        # PEF <-> PLF round-trip on a random epistemic distribution
-        ids = sorted(graph.arguments)
-        believed = list({frozenset(a for a in ids if rng.random() < 0.5) for _ in range(3)})
-        pef = PEF(graph, random_distribution(rng, believed))
-        assert dict(pef_from_plf(plf_from_pef(pef)).probs) == dict(pef.probs)
+    # PEF <-> PLF round-trip on a random epistemic distribution
+    ids = sorted(graph.arguments)
+    pef = PEF(graph, data.draw(distributions(st.frozensets(st.sampled_from(ids)))))
+    assert dict(pef_from_plf(plf_from_pef(pef)).probs) == dict(pef.probs)
 
-        # grounded labelling frame: marginals behave
-        plf = plf_with_semantics(pgf, Semantics.GROUNDED)
-        report = check_properties(plf, theory)
-        for name in ("foundedness", "in_implies_on", "subargument_on_monotone"):
-            result = report.result(name)
-            assert not result.applicable or result.holds, (name, result.violations)
-        for arg_id in ids:
-            total = sum(
-                argument_label_probability(plf, arg_id, l)
-                for l in LabelSet.IN_OUT_UN_OFF.labels
-            )
-            assert total == 1
-        statements = {a.conclusion for a in graph.arguments.values()} | {lit("zzz")}
-        for phi in statements:
-            p_unp = statement_label_probability(plf, phi, StatementLabel.UNP)
-            assert p_unp in (F(0), F(1))
-            per_label = sum(
-                statement_label_probability(plf, phi, l)
-                for l in StatementLabel
-                if l is not StatementLabel.NO
-            )
-            assert per_label == 1
+    # grounded labelling frame: marginals behave
+    plf = plf_with_semantics(pgf, Semantics.GROUNDED)
+    report = check_properties(plf, theory)
+    for name in ("foundedness", "in_implies_on", "subargument_on_monotone"):
+        result = report.result(name)
+        assert not result.applicable or result.holds, (name, result.violations)
+    for arg_id in ids:
+        total = sum(
+            argument_label_probability(plf, arg_id, l)
+            for l in LabelSet.IN_OUT_UN_OFF.labels
+        )
+        assert total == 1
+    statements = {a.conclusion for a in graph.arguments.values()} | {lit("zzz")}
+    for phi in statements:
+        p_unp = statement_label_probability(plf, phi, StatementLabel.UNP)
+        assert p_unp in (F(0), F(1))
+        per_label = sum(
+            statement_label_probability(plf, phi, l)
+            for l in StatementLabel
+            if l is not StatementLabel.NO
+        )
+        assert per_label == 1
 
-        if small:
-            # coherence under conflict-free labellings
-            cf_plf = plf_with_semantics(pgf, Semantics.CF)
-            assert check_properties(cf_plf, theory).result("coherence").holds
-            # foundedness under complete labellings
-            complete_plf = plf_with_semantics(pgf, Semantics.COMPLETE)
-            assert check_properties(complete_plf, theory).result("foundedness").holds
+    if small:
+        # coherence under conflict-free labellings
+        cf_plf = plf_with_semantics(pgf, Semantics.CF)
+        assert check_properties(cf_plf, theory).result("coherence").holds
+        # foundedness under complete labellings
+        complete_plf = plf_with_semantics(pgf, Semantics.COMPLETE)
+        assert check_properties(complete_plf, theory).result("foundedness").holds
 
-    assert checked == 200
     _passed(8)

@@ -1,8 +1,20 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from arglab.cli import main
+from arglab import (
+    PLF,
+    ArgLabel,
+    DistributionError,
+    Labelling,
+    LabellingSpec,
+    LabelSet,
+    Semantics,
+    build_graph,
+)
+from arglab.cli import _build_plf, build_parser, main
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, CHAIN, MUTUAL, RUNNING_EXAMPLE
 
@@ -295,3 +307,83 @@ def test_output_is_deterministic(theory_file, capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["marginal", "check"])
+def test_enumeration_cap_has_one_name(theory_file, capsys, command):
+    """--max-args is the construction cap, which marginal and check do not
+    take; spelled as a prefix it is not read as --max-args-enum either."""
+    for flag in ("--max-args", "--max-args-e"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, theory_file, flag, "5"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert main([command, theory_file, "--max-args-enum", "2"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: 3 arguments exceeds the enumeration cap of 2\n"
+
+
+@pytest.mark.parametrize("kind", ["plf", "pef"])
+@pytest.mark.parametrize("flag", ["--weights", "--legal-only"])
+def test_flags_a_labelled_frame_ignores_exit_2(theory_file, tmp_path, capsys, kind, flag):
+    frame = tmp_path / f"frame.{kind}"
+    frame.write_text({"plf": "{rb1()=IN, rb2()=IN, rb(rb1(),rb2())=IN, rc()=OUT, rd()=IN} : 1.\n",
+                      "pef": "{rd()} : 1.\n"}[kind])
+    weights = tmp_path / "weights.dl"
+    weights.write_text("{rc()=IN} : 1.\n")
+    argv = ["marginal", theory_file, "--frame", f"{kind}:{frame}"]
+    assert run(capsys, *argv)[0] == 0
+    extra = ["--weights", str(weights)] if flag == "--weights" else [flag]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {flag} does not apply to a {kind}: frame, which no semantics labels\n"
+    )
+
+
+@pytest.mark.parametrize("label", ["ON", "OFF"])
+def test_weights_entry_that_can_never_match_exit_2(theory_file, tmp_path, capsys, label):
+    """Weights choose among a subgraph's {IN, OUT, UN} labellings: an entry
+    labelling an argument ON or OFF would never match."""
+    wfile = tmp_path / "weights.dl"
+    wfile.write_text(f"{{rc()={label}}} : 1/2.\n{{rd()=IN}} : 1/2.\n")
+    code = main(["marginal", theory_file, "--semantics", "preferred", "--weights", str(wfile)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"validation error: weight entry {{rc()={label}}} labels rc() {label}, which never matches"
+    )
+
+
+def _plf_before(graph, used, entries):
+    """The plf: frame as the loader built it when it picked the label set by
+    cases; kept as the oracle."""
+    if used <= {ArgLabel.ON, ArgLabel.OFF}:
+        label_set = LabelSet.ON_OFF
+    elif ArgLabel.OFF in used:
+        label_set = LabelSet.IN_OUT_UN_OFF
+    else:
+        label_set = LabelSet.IN_OUT_UN
+    semantics = None if label_set is LabelSet.ON_OFF else Semantics.GROUNDED
+    spec = LabellingSpec(label_set, semantics=semantics)
+    return PLF(graph, spec, [(Labelling.from_mapping(label_set, a), p) for a, p in entries])
+
+
+def _label_set_or_error(build, *args):
+    try:
+        return build(*args).spec.label_set
+    except (ValueError, DistributionError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("size", range(len(ArgLabel) + 1))
+def test_plf_label_set_matches_the_former_cases(mutual_file, mutual_theory, tmp_path, size):
+    """For every combination of labels used, the plf: loader picks the label
+    set, or fails with the error, that the former case analysis gave."""
+    args = build_parser().parse_args(["marginal", mutual_file, "--frame", f"plf:{tmp_path / 'f'}"])
+    graph = build_graph(mutual_theory)
+    for used in itertools.combinations(ArgLabel, size):
+        entries = [({"rb()": l, "rc()": l}, Fraction(1, len(used))) for l in used]
+        (tmp_path / "f").write_text(
+            "".join(f"{{rb()={l.value}, rc()={l.value}}} : 1/{len(used)}.\n" for l in used)
+        )
+        assert _label_set_or_error(_build_plf, args, mutual_theory) == (
+            _label_set_or_error(_plf_before, graph, set(used), entries)
+        ), used

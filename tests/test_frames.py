@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arglab import (
     PAG,
@@ -28,7 +29,7 @@ from arglab import (
     ptf_independent,
 )
 from arglab.construct import is_legal
-from randgen import random_distribution, small_graph_theory
+from strategies import capped_graph, distributions, theories
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, C_A, C_AB, C_ABC, C_B, C_BC
 
@@ -220,19 +221,13 @@ def test_pef_round_trip_and_marginal(mutual_graph):
         assert labelling.with_label(ArgLabel.UN) == frozenset()
 
 
-def test_pef_round_trip_random(mutual_graph):
-    rng = random.Random(3)
-    for _ in range(25):
-        pair = small_graph_theory(rng)
-        if pair is None:
-            continue
-        _, graph = pair
-        ids = sorted(graph.arguments)
-        subsets = [
-            frozenset(a for a in ids if rng.random() < 0.5) for _ in range(4)
-        ]
-        pef = PEF(graph, random_distribution(rng, list(set(subsets))))
-        assert dict(pef_from_plf(plf_from_pef(pef)).probs) == dict(pef.probs)
+@given(theories(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_pef_round_trip_random(theory, data):
+    graph = capped_graph(theory, min_args=1)
+    believed = st.frozensets(st.sampled_from(graph.ids()))
+    pef = PEF(graph, data.draw(distributions(believed)))
+    assert dict(pef_from_plf(plf_from_pef(pef)).probs) == dict(pef.probs)
 
 
 def test_pag_subgraph_probability(mutual_graph):

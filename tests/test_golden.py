@@ -90,9 +90,9 @@ def cases():
     # one exit-3 case per cap
     out.append(("running-args-cap", ["args", "running.dl", "--max-args", "2"]))
     out.append(("running-label-cap", ["label", "running.dl", "--max-args-enum", "2"]))
-    out.append(("running-marginal-cap", ["marginal", "running.dl", "--max-args", "2"]))
+    out.append(("running-marginal-cap", ["marginal", "running.dl", "--max-args-enum", "2"]))
     out.append(("odd_loop-pag-check-cap",
-                ["check", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--max-args", "2"]))
+                ["check", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--max-args-enum", "2"]))
     out.append(("wide-marginal-cap", ["marginal", "wide.dl"]))
     return out
 

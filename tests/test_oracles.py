@@ -27,17 +27,14 @@ from arglab import (
     ArgLabel,
     Argument,
     ArgumentationGraph,
-    CapExceededError,
     DefeasibleTheory,
     DistributionError,
     Labelling,
     LabellingSpec,
     LabelSet,
-    Literal,
     OnOffCriterion,
     PLF,
     PreferencePolicy,
-    Rule,
     Semantics,
     StatementLabel,
     StatementScheme,
@@ -63,34 +60,9 @@ from arglab import (
 from arglab import semantics as semantics_module
 from arglab.frames import _normalise
 from arglab.semantics import combine_with_off
+from strategies import capped_graph, policies, probabilities, theories
 
 F = Fraction
-
-_literals = st.builds(Literal, st.sampled_from(["a", "b", "c", "d"]), st.booleans())
-# coprime denominators (7, 11, 13) make the common denominator of the sums non-trivial
-_probabilities = st.sampled_from(
-    [F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1), F(2, 7), F(5, 11), F(4, 13)]
-)
-_policies = st.sampled_from(list(PreferencePolicy))
-
-
-@st.composite
-def theories(draw, max_rules=6):
-    """Theories with at least one rule and every rule probability in [0, 1]."""
-    n = draw(st.integers(min_value=1, max_value=max_rules))
-    rules = {}
-    for i in range(n):
-        rid = f"r{i}"
-        body = tuple(draw(st.lists(_literals, max_size=2)))
-        naf = frozenset(draw(st.sets(_literals, max_size=1)))
-        rules[rid] = Rule(rid, body, naf, draw(_literals))
-    ids = sorted(rules)
-    conflicts = frozenset(draw(st.sets(st.tuples(_literals, _literals), max_size=2)))
-    superiority = frozenset(
-        draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2))
-    )
-    probs = {rid: draw(_probabilities) for rid in ids if draw(st.booleans())}
-    return DefeasibleTheory(rules, conflicts, superiority, probs)
 
 
 @st.composite
@@ -106,16 +78,6 @@ def abstract_graphs(draw, max_args=8):
         ring = draw(st.permutations(ids))[:cycle]
         attacks |= {(ring[i], ring[(i + 1) % cycle]) for i in range(cycle)}
     return ArgumentationGraph(args, frozenset(attacks), frozenset())
-
-
-def _graph(theory, policy, max_args):
-    try:
-        graph = build_graph(theory, policy=policy, max_args=200)
-    except CapExceededError:
-        reject()
-    if len(graph.arguments) > max_args:
-        reject()
-    return graph
 
 
 # --- oracles -----------------------------------------------------------------
@@ -315,29 +277,29 @@ def fraction_conclusion_label_sets(plf):
 # --- comparisons -------------------------------------------------------------
 
 
-@given(theories(), _policies)
+@given(theories(), policies)
 @settings(max_examples=200, deadline=None)
 def test_derive_attacks_matches_triple_loop(theory, policy):
-    arguments = dict(_graph(theory, policy, max_args=60).arguments)
+    arguments = dict(capped_graph(theory, policy, max_args=60).arguments)
     expect = triple_loop_attacks(theory, arguments, policy)
     assert derive_attacks(theory, arguments, policy) == expect
 
 
-@given(theories(), _policies, st.data())
+@given(theories(), policies, st.data())
 @settings(max_examples=150, deadline=None)
 def test_derive_attacks_matches_triple_loop_on_partial_arguments(theory, policy, data):
     """Subarguments left out of the dict are still walked as targets' parts."""
-    graph = _graph(theory, policy, max_args=60)
+    graph = capped_graph(theory, policy, max_args=60)
     kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
     arguments = {a: graph.arguments[a] for a in kept}
     expect = triple_loop_attacks(theory, arguments, policy)
     assert derive_attacks(theory, arguments, policy) == expect
 
 
-@given(theories(), _policies, st.data())
+@given(theories(), policies, st.data())
 @settings(max_examples=200, deadline=None)
 def test_graph_validation_matches_quadratic_check(theory, policy, data):
-    graph = _graph(theory, policy, max_args=60)
+    graph = capped_graph(theory, policy, max_args=60)
     ids = graph.ids()
     if not ids:
         reject()
@@ -356,10 +318,10 @@ def test_graph_validation_matches_quadratic_check(theory, policy, data):
     assert accepted == attacks_extend_quadratic(attacks, graph.sub_edges)
 
 
-@given(theories(), _policies, st.data())
+@given(theories(), policies, st.data())
 @settings(max_examples=150, deadline=None)
 def test_attackers_index_matches_inverted_attacks(theory, policy, data):
-    graph = _graph(theory, policy, max_args=60)
+    graph = capped_graph(theory, policy, max_args=60)
     kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
     sub = induced_subgraph(graph, kept)
     for g in (graph, sub):
@@ -375,11 +337,11 @@ def _checked(labelling):
     return Labelling.from_mapping(labelling.label_set, labelling.mapping)
 
 
-@given(theories(max_rules=5), _policies, st.data())
+@given(theories(max_rules=5), policies, st.data())
 @settings(max_examples=60, deadline=None)
 def test_engine_labellings_match_from_mapping(theory, policy, data):
     """Labellings the engine builds in id order equal their sorted, checked rebuild."""
-    graph = _graph(theory, policy, max_args=5)
+    graph = capped_graph(theory, policy, max_args=5)
     ids = graph.ids()
     if not ids:
         reject()
@@ -418,25 +380,25 @@ def test_labelling_search_matches_brute_force_on_abstract_graphs(graph, semantic
     assert in_sets == brute_force_complete_in_sets(graph)
 
 
-@given(theories(), _policies, _SEARCHED)
+@given(theories(), policies, _SEARCHED)
 @settings(max_examples=200, deadline=None)
 def test_labelling_search_matches_brute_force_on_theory_graphs(theory, policy, semantics):
-    graph = _graph(theory, policy, max_args=8)
+    graph = capped_graph(theory, policy, max_args=8)
     assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
 
 
-@given(theories(max_rules=5), _policies, _SEARCHED)
+@given(theories(max_rules=5), policies, _SEARCHED)
 @settings(max_examples=100, deadline=None)
 def test_combined_labellings_match_brute_force(theory, policy, semantics):
-    graph = _graph(theory, policy, max_args=6)
+    graph = capped_graph(theory, policy, max_args=6)
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics)
     assert labellings(graph, spec) == brute_force_combined(graph, semantics)
 
 
-@given(theories(), _policies, st.data())
+@given(theories(), policies, st.data())
 @settings(max_examples=150, deadline=None)
 def test_pgf_from_ptf_matches_rebuilt_pushforward(theory, policy, data):
-    _graph(theory, policy, max_args=200)
+    capped_graph(theory, policy, max_args=200)
     rids = sorted(theory.rules)
     subsets = data.draw(
         st.lists(st.frozensets(st.sampled_from(rids)), min_size=1, max_size=5)
@@ -461,18 +423,18 @@ def test_ptf_independent_matches_full_product(theory):
     assert dict(ptf_independent(theory).probs) == full_product(items)
 
 
-@given(theories(), _policies, st.data())
+@given(theories(), policies, st.data())
 @settings(max_examples=100, deadline=None)
 def test_pag_to_pgf_matches_full_product(theory, policy, data):
-    graph = _graph(theory, policy, max_args=10).without_sub_edges()
-    items = {a: data.draw(_probabilities) for a in graph.ids()}
+    graph = capped_graph(theory, policy, max_args=10).without_sub_edges()
+    items = {a: data.draw(probabilities) for a in graph.ids()}
     assert dict(pag_to_pgf(PAG(graph, items)).probs) == full_product(items)
 
 
-@given(theories(max_rules=5), _policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
+@given(theories(max_rules=5), policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
 @settings(max_examples=60, deadline=None)
 def test_argument_marginals_match_support_scan(theory, policy, semantics):
-    _graph(theory, policy, max_args=8)
+    capped_graph(theory, policy, max_args=8)
     plf = plf_with_semantics(pgf_from_ptf(ptf_independent(theory), policy=policy), semantics)
     for arg_id in plf.graph.ids():
         for label in plf.spec.label_set.labels:
@@ -480,10 +442,10 @@ def test_argument_marginals_match_support_scan(theory, policy, semantics):
             assert argument_label_probability(plf, arg_id, label) == expect
 
 
-@given(theories(max_rules=5), _policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
+@given(theories(max_rules=5), policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
 @settings(max_examples=60, deadline=None)
 def test_statement_marginals_match_per_labelling_sum(theory, policy, semantics):
-    _graph(theory, policy, max_args=8)
+    capped_graph(theory, policy, max_args=8)
     plf = plf_with_semantics(pgf_from_ptf(ptf_independent(theory), policy=policy), semantics)
     # every literal of the theory, so unproposed statements are covered too
     for statement in sorted(theory.literals(), key=str):
@@ -536,18 +498,18 @@ def _random_plf(graph, data):
     entries = []
     for _ in range(k):
         mapping = {a: data.draw(st.sampled_from(labels)) for a in ids}
-        entries.append((Labelling.from_mapping(label_set, mapping), data.draw(_probabilities)))
+        entries.append((Labelling.from_mapping(label_set, mapping), data.draw(probabilities)))
     total = sum((p for _, p in entries), F(0))
     if total == 0:
         reject()
     return PLF(graph, LabellingSpec(label_set), [(l, p / total) for l, p in entries])
 
 
-@given(theories(max_rules=5), _policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]),
+@given(theories(max_rules=5), policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]),
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_plf_tables_match_fraction_sums(theory, policy, semantics, data):
-    graph = _graph(theory, policy, max_args=8)
+    graph = capped_graph(theory, policy, max_args=8)
     if data.draw(st.booleans()):
         plf = plf_with_semantics(pgf_from_ptf(ptf_independent(theory), policy=policy), semantics)
     else:

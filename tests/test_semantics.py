@@ -1,6 +1,5 @@
-import random
-
 import pytest
+from hypothesis import given, settings
 
 from arglab import (
     ArgLabel,
@@ -17,7 +16,7 @@ from arglab import (
     lit,
 )
 from arglab.semantics import MAX_ENUM_ARGUMENTS
-from randgen import small_graph_theory
+from strategies import capped_graph, theories
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, C_A, C_AB, C_B, C_BC
 
@@ -183,18 +182,13 @@ def test_spec_validation():
         LabellingSpec(LabelSet.IN_OUT_UN, criterion=OnOffCriterion.LEGAL)
 
 
-def test_grounded_fixpoint_matches_enumeration_on_random_graphs():
-    rng = random.Random(7)
-    checked = 0
-    while checked < 60:
-        pair = small_graph_theory(rng)
-        if pair is None:
-            continue
-        _, graph = pair
-        checked += 1
-        grounded = grounded_labelling(graph)
-        complete = labellings(graph, _spec(Semantics.COMPLETE))
-        assert grounded in complete
-        for l in complete:
-            assert _in_set(grounded) <= _in_set(l)
-        assert labellings(graph, _spec(Semantics.GROUNDED)) == [grounded]
+@given(theories())
+@settings(max_examples=60, deadline=None)
+def test_grounded_fixpoint_matches_enumeration_on_random_graphs(theory):
+    graph = capped_graph(theory, min_args=1)
+    grounded = grounded_labelling(graph)
+    complete = labellings(graph, _spec(Semantics.COMPLETE))
+    assert grounded in complete
+    for l in complete:
+        assert _in_set(grounded) <= _in_set(l)
+    assert labellings(graph, _spec(Semantics.GROUNDED)) == [grounded]
