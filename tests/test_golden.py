@@ -49,6 +49,13 @@ def cases():
         common = ["odd_loop.dl", "--frame", "pag:odd_loop.pag", "--semantics", semantics]
         out.append((f"odd_loop-pag-marginal-{semantics}", ["marginal", *common, "--scheme", "bivalent"]))
         out.append((f"odd_loop-pag-check-{semantics}", ["check", *common]))
+    # the cf and complete paths of marginal and check
+    for semantics in ("cf", "complete"):
+        for name, frame in (("running", []), ("gadgets", []),
+                            ("odd_loop-pag", ["--frame", "pag:odd_loop.pag"])):
+            common = [f"{name.split('-')[0]}.dl", *frame, "--semantics", semantics]
+            out.append((f"{name}-marginal-{semantics}", ["marginal", *common]))
+            out.append((f"{name}-check-{semantics}", ["check", *common]))
     for labels in ("inoutun", "inoutunoff"):
         for semantics in ("cf", "complete", "grounded", "preferred", "stable"):
             out.append((f"running-label-{semantics}-{labels}",
@@ -73,6 +80,9 @@ def cases():
     out.append(("running-marginal-preferred-weights",
                 ["marginal", "running.dl", "--semantics", "preferred",
                  "--weights", "running.weights"]))
+    # exit 2: over one subgraph's five cf labellings the weights sum to 2
+    out.append(("running-marginal-cf-weights",
+                ["marginal", "running.dl", "--semantics", "cf", "--weights", "running.weights"]))
     for kind in ("ptf", "pgf", "plf", "pef"):
         out.append((f"running-check-{kind}",
                     ["check", "running.dl", "--frame", f"{kind}:running.{kind}"]))
