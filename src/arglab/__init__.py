@@ -63,6 +63,7 @@ from .semantics import (
     Semantics,
     grounded_labelling,
     labellings,
+    subgraph_labellings,
 )
 
 __version__ = "0.1.0"

@@ -52,7 +52,6 @@ from .construct import (
     MAX_SUBTHEORY_RULES,
     PreferencePolicy,
     build_graph,
-    induced_subgraph,
     is_legal,
     is_subargument_complete,
 )
@@ -62,8 +61,8 @@ from .semantics import (
     LabellingSpec,
     Semantics,
     check_cap,
-    combine_with_off,
-    labellings as enumerate_labellings,
+    labellings as enumerate_labellings,  # not called here; perfbench/test_gate.py reads the alias
+    subgraph_labellings,
 )
 
 ONE = Fraction(1)
@@ -418,23 +417,16 @@ def plf_with_semantics(
     """
     weights = weights or SublabellingWeights()
     admit = is_legal if legal_only else is_subargument_complete
-    spec = LabellingSpec(
-        LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only
-    )
-    inner_spec = LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics)
+    spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
     entries = []
     for subset, p in pgf.probs.items():
         if not admit(pgf.graph, subset):
             kind = "legal" if legal_only else "subargument-complete"
             raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
-        sub = induced_subgraph(pgf.graph, subset)
-        inner = enumerate_labellings(sub, inner_spec, max_args=max_args)
+        inner = subgraph_labellings(pgf.graph, subset, semantics, max_args)
         if not inner:
-            raise DistributionError(
-                f"subgraph {sorted(subset)} has no {semantics.value} labelling"
-            )
-        for labelling, w in zip(inner, weights.weights_for(inner)):
-            entries.append((combine_with_off(pgf.graph, labelling), p * w))
+            raise DistributionError(f"subgraph {sorted(subset)} has no {semantics.value} labelling")
+        entries += ((l, p * w) for l, w in zip(inner, weights.weights_for(inner)))
     return PLF(pgf.graph, spec, entries)
 
 
@@ -450,7 +442,7 @@ def plf_from_pef(pef: PEF) -> PLF:
 
 def pag_to_pgf(pag: PAG, max_args: int = MAX_ENUM_ARGUMENTS) -> PGF:
     """Subgraph distribution of independent argument presence."""
-    check_cap(pag.graph, max_args)
+    check_cap(len(pag.graph.arguments), max_args)
     return PGF(pag.graph, _product(pag.arg_probs))
 
 
@@ -466,16 +458,12 @@ def extension_probability(
     unknown = target - set(pag.graph.arguments)
     if unknown:
         raise KeyError(f"unknown argument ids: {sorted(unknown)}")
-    abstract = pag.graph.without_sub_edges()
-    inner_spec = LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics)
     total = ZERO
     pgf = pag_to_pgf(pag, max_args=max_args)
     for subset, p in pgf.probs.items():
-        if not target <= subset:
-            continue
-        sub = induced_subgraph(abstract, subset)
-        for labelling in enumerate_labellings(sub, inner_spec, max_args=max_args):
-            if labelling.with_label(ArgLabel.IN) == target:
-                total += p
-                break
+        if target <= subset and any(
+            labelling.with_label(ArgLabel.IN) == target
+            for labelling in subgraph_labellings(pag.graph, subset, semantics, max_args)
+        ):
+            total += p
     return total

@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet
-from .construct import induced_subgraph, is_legal, is_rule_complete, is_subargument_complete
+from .construct import is_legal, is_rule_complete, is_subargument_complete
 from .errors import CapExceededError
 
 MAX_ENUM_ARGUMENTS = 16
@@ -77,11 +77,14 @@ class LabellingSpec:
             raise ValueError("structural criteria only apply to {ON,OFF} specs")
 
 
-def _grounded_sets(graph: ArgumentationGraph) -> Tuple[Set[str], Set[str]]:
-    """IN and OUT sets of the grounded labelling, by least fixpoint."""
+Labels = Tuple[ArgLabel, ...]  # one label per argument, in ``graph.ids()`` order
+
+
+def _grounded_sets(graph: ArgumentationGraph, absent: FrozenSet[str]) -> Tuple[Set[str], Set[str]]:
+    """IN and OUT sets of the grounded labelling, by least fixpoint; OUT starts as ``absent``."""
     att = graph.attackers
     in_set: Set[str] = set()
-    out_set: Set[str] = set()
+    out_set: Set[str] = set(absent)
     changed = True
     while changed:
         changed = False
@@ -99,10 +102,11 @@ def _grounded_sets(graph: ArgumentationGraph) -> Tuple[Set[str], Set[str]]:
 
 def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
     """Least fixpoint computation of the unique grounded labelling."""
-    return _labelling_from_in_set(graph, frozenset(_grounded_sets(graph)[0]))
+    labels = _semantics_labels(graph, Semantics.GROUNDED, frozenset())[0]
+    return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
-def _complete_in_sets(graph: ArgumentationGraph) -> List[FrozenSet[str]]:
+def _complete_in_sets(graph: ArgumentationGraph, absent: FrozenSet[str]) -> List[FrozenSet[str]]:
     """IN-sets of complete labellings, ordered as the bit vectors over sorted ids.
 
     A complete labelling is determined by its IN-set: the OUT-set is exactly
@@ -114,15 +118,11 @@ def _complete_in_sets(graph: ArgumentationGraph) -> List[FrozenSet[str]]:
     IN-set is grounded IN plus the chosen set S.  The condition holds on the
     grounded IN and OUT arguments for every such S (grounded UN arguments
     neither attack grounded IN ones nor are attacked by them), so it is
-    tested on the grounded-UN arguments only.
+    tested on the grounded-UN arguments only.  Absent arguments are grounded OUT.
     """
     att = graph.attackers
-    g_in, g_out = _grounded_sets(graph)
+    g_in, g_out = _grounded_sets(graph, absent)
     undecided = [a for a in graph.ids() if a not in g_in and a not in g_out]
-    targets: Dict[str, Set[str]] = {a: set() for a in undecided}
-    for b, a in graph.attacks:
-        if b in targets:
-            targets[b].add(a)
     out: List[FrozenSet[str]] = []
     chosen: Set[str] = set()
 
@@ -139,7 +139,7 @@ def _complete_in_sets(graph: ArgumentationGraph) -> List[FrozenSet[str]]:
             return
         search(i + 1)
         a = undecided[i]
-        if a not in att[a] and not (att[a] & chosen or targets[a] & chosen):
+        if a not in att[a] and not (att[a] & chosen or any(a in att[c] for c in chosen)):
             chosen.add(a)
             search(i + 1)
             chosen.remove(a)
@@ -161,47 +161,50 @@ def _maximal(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
     return kept
 
 
-def _labelling_from_in_set(graph: ArgumentationGraph, s: FrozenSet[str]) -> Labelling:
+def _in_set_labels(graph: ArgumentationGraph, s: FrozenSet[str], absent: FrozenSet[str]) -> Labels:
     att = graph.attackers
-    labels = (
-        ArgLabel.IN if a in s else ArgLabel.OUT if att[a] & s else ArgLabel.UN
+    return tuple(
+        ArgLabel.OFF if a in absent
+        else ArgLabel.IN if a in s else ArgLabel.OUT if att[a] & s else ArgLabel.UN
         for a in graph.ids()
     )
-    return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
-def _cf_labellings(graph: ArgumentationGraph) -> List[Labelling]:
+def _cf_labels(graph: ArgumentationGraph, absent: FrozenSet[str]) -> List[Labels]:
     """Conflict-free labellings: no IN argument has an IN attacker, and every
     OUT argument has at least one IN attacker."""
     ids = graph.ids()
     att = graph.attackers
-    out: List[Labelling] = []
-    for s in _subsets(ids):
+    out: List[Labels] = []
+    for s in _subsets([a for a in ids if a not in absent]):
         if any(att[a] & s for a in s):
             continue
         choices = [
-            (ArgLabel.IN,) if a in s
+            (ArgLabel.OFF,) if a in absent
+            else (ArgLabel.IN,) if a in s
             else (ArgLabel.OUT, ArgLabel.UN) if att[a] & s
             else (ArgLabel.UN,)
             for a in ids
         ]
-        for combo in itertools.product(*choices):
-            out.append(Labelling.over(graph, LabelSet.IN_OUT_UN, combo))
+        out.extend(itertools.product(*choices))
     return out
 
 
-def _semantics_labellings(graph: ArgumentationGraph, semantics: Semantics) -> List[Labelling]:
+def _semantics_labels(
+    graph: ArgumentationGraph, semantics: Semantics, absent: FrozenSet[str]
+) -> List[Labels]:
+    """Labels of the subgraph without the ``absent`` arguments, OFF on those."""
     if semantics is Semantics.CF:
-        return _cf_labellings(graph)
+        return _cf_labels(graph, absent)
     if semantics is Semantics.GROUNDED:
-        return [grounded_labelling(graph)]
-    att = graph.attackers
-    in_sets = _complete_in_sets(graph)
+        return [_in_set_labels(graph, frozenset(_grounded_sets(graph, absent)[0]), absent)]
+    in_sets = _complete_in_sets(graph, absent)
     if semantics is Semantics.PREFERRED:
         in_sets = _maximal(in_sets)
-    elif semantics is Semantics.STABLE:  # nothing left UN
-        in_sets = [s for s in in_sets if all(a in s or att[a] & s for a in graph.ids())]
-    return [_labelling_from_in_set(graph, s) for s in in_sets]
+    labels = [_in_set_labels(graph, s, absent) for s in in_sets]
+    if semantics is Semantics.STABLE:  # nothing left UN
+        labels = [row for row in labels if ArgLabel.UN not in row]
+    return labels
 
 
 def _subsets(ids: Sequence[str]) -> Iterator[FrozenSet[str]]:
@@ -209,12 +212,10 @@ def _subsets(ids: Sequence[str]) -> Iterator[FrozenSet[str]]:
         yield frozenset(a for a, b in zip(ids, bits) if b)
 
 
-def check_cap(graph: ArgumentationGraph, max_args: int) -> None:
-    """Raise CapExceededError when the graph has more than ``max_args`` arguments."""
-    if len(graph.arguments) > max_args:
-        raise CapExceededError(
-            f"{len(graph.arguments)} arguments exceeds the enumeration cap of {max_args}"
-        )
+def check_cap(n: int, max_args: int) -> None:
+    """Raise CapExceededError when ``n`` arguments are more than ``max_args``."""
+    if n > max_args:
+        raise CapExceededError(f"{n} arguments exceeds the enumeration cap of {max_args}")
 
 
 _CRITERION_TESTS = {
@@ -225,13 +226,29 @@ _CRITERION_TESTS = {
 }
 
 
+def subgraph_labellings(
+    graph: ArgumentationGraph, subset: Collection[str], semantics: Semantics, max_args: int
+) -> List[Labelling]:
+    """Semantics labellings of the subgraph on ``subset``, OFF outside it, sorted.
+
+    Labelled in place on ``graph``'s index: an absent attacker counts as OUT,
+    so "all attackers OUT" is ``att[a] <= OUT | absent``, and every other test
+    meets ``att[a]`` with an IN set inside ``subset``.  The cap applies to it.
+    """
+    check_cap(len(subset), max_args)
+    absent = frozenset(a for a in graph.ids() if a not in subset)
+    rows = _semantics_labels(graph, semantics, absent)
+    combined = (Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, row) for row in rows)
+    return sorted(combined, key=Labelling.sort_key)
+
+
 def labellings(
     graph: ArgumentationGraph,
     spec: LabellingSpec,
     max_args: int = MAX_ENUM_ARGUMENTS,
 ) -> List[Labelling]:
     """All labellings the given LabellingSpec admits, in deterministic order."""
-    check_cap(graph, max_args)
+    check_cap(len(graph.arguments), max_args)
     ids = graph.ids()
     result: List[Labelling] = []
 
@@ -244,28 +261,17 @@ def labellings(
 
     elif spec.label_set is LabelSet.IN_OUT_UN:
         if spec.semantics is None:
-            labels = (ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN)
-            for combo in itertools.product(labels, repeat=len(ids)):
-                result.append(Labelling.over(graph, LabelSet.IN_OUT_UN, combo))
+            rows = itertools.product((ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN), repeat=len(ids))
         else:
-            result = _semantics_labellings(graph, spec.semantics)
+            rows = _semantics_labels(graph, spec.semantics, frozenset())
+        result = [Labelling.over(graph, LabelSet.IN_OUT_UN, row) for row in rows]
 
     else:  # IN_OUT_UN_OFF: combined labellings over admissible subgraphs
         if spec.semantics is None:
             raise ValueError("combined {IN,OUT,UN,OFF} labellings need a semantics")
         admit = is_legal if spec.legal_only else is_subargument_complete
         for s in _subsets(ids):
-            if not admit(graph, s):
-                continue
-            sub = induced_subgraph(graph, s)
-            for inner in _semantics_labellings(sub, spec.semantics):
-                result.append(combine_with_off(graph, inner))
+            if admit(graph, s):
+                result += subgraph_labellings(graph, s, spec.semantics, max_args)
 
     return sorted(result, key=Labelling.sort_key)
-
-
-def combine_with_off(graph: ArgumentationGraph, inner: Labelling) -> Labelling:
-    """Extend a subgraph labelling to the whole graph with OFF outside."""
-    mapping = inner.mapping
-    labels = (mapping.get(a, ArgLabel.OFF) for a in graph.ids())
-    return Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, labels)

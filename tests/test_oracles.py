@@ -5,7 +5,9 @@ derivation over every target, subargument and attacker; graph validation over
 every subargument edge and attack; the attackers index inverted from the
 attack set; the pushforward that rebuilds arguments per rule subset; the
 product over all 2^n subsets; the complete, preferred and stable labellings
-found by testing all 2^n candidate IN-sets; labellings built through the
+found by testing all 2^n candidate IN-sets, the conflict-free ones by testing
+all 3^n assignments; combined labellings pasted around a labelling of the
+induced subgraph, which is built and validated on its own; labellings built through the
 sorting, checking ``Labelling.from_mapping``; the argument and statement
 marginals that rescan the support on every call; and the distribution merge
 and marginal tables that add one ``Fraction`` at a time.  Results must agree
@@ -56,10 +58,10 @@ from arglab import (
     ptf_independent,
     statement_label,
     statement_label_probability,
+    subgraph_labellings,
 )
 from arglab import semantics as semantics_module
 from arglab.frames import _normalise
-from arglab.semantics import combine_with_off
 from strategies import capped_graph, policies, probabilities, theories
 
 F = Fraction
@@ -180,13 +182,34 @@ def brute_force_complete_in_sets(graph):
     return out
 
 
-def brute_force_labellings(graph, semantics):
-    """Complete, preferred or stable {IN, OUT, UN} labellings in sorted order.
+def brute_force_cf_labellings(graph):
+    """Every assignment with no IN argument attacked by an IN one and an IN
+    attacker for every OUT argument, in sorted order."""
+    ids = sorted(graph.arguments)
+    result = []
+    for combo in itertools.product([ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN], repeat=len(ids)):
+        mapping = dict(zip(ids, combo))
+        in_set = {a for a in ids if mapping[a] is ArgLabel.IN}
+        if any((b, a) in graph.attacks for a in in_set for b in in_set):
+            continue
+        attacked = {a for a in ids if any((b, a) in graph.attacks for b in in_set)}
+        if all(mapping[a] is not ArgLabel.OUT or a in attacked for a in ids):
+            result.append(Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping))
+    return sorted(result, key=Labelling.sort_key)
 
-    Preferred IN-sets are the complete ones with no strict superset among all
+
+def brute_force_labellings(graph, semantics):
+    """{IN, OUT, UN} labellings under any semantics, in sorted order.
+
+    Grounded is the complete labelling whose IN-set lies inside every other;
+    preferred IN-sets are the complete ones with no strict superset among all
     the others; stable labellings are the complete ones with nothing UN.
     """
+    if semantics is Semantics.CF:
+        return brute_force_cf_labellings(graph)
     in_sets = brute_force_complete_in_sets(graph)
+    if semantics is Semantics.GROUNDED:
+        in_sets = [s for s in in_sets if all(s <= t for t in in_sets)]
     if semantics is Semantics.PREFERRED:
         in_sets = [s for s in in_sets if not any(s < t for t in in_sets)]
     result = []
@@ -203,6 +226,13 @@ def brute_force_labellings(graph, semantics):
             continue
         result.append(Labelling.from_mapping(LabelSet.IN_OUT_UN, mapping))
     return sorted(result, key=Labelling.sort_key)
+
+
+def combine_with_off(graph, inner):
+    """Extend a subgraph labelling to the whole graph with OFF outside."""
+    mapping = inner.mapping
+    labels = {a: mapping.get(a, ArgLabel.OFF) for a in graph.arguments}
+    return Labelling.from_mapping(LabelSet.IN_OUT_UN_OFF, labels)
 
 
 def brute_force_combined(graph, semantics):
@@ -354,9 +384,7 @@ def test_engine_labellings_match_from_mapping(theory, policy, data):
         spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
         built += labellings(graph, spec)
     subsets = data.draw(st.lists(st.frozensets(st.sampled_from(ids)), min_size=1, max_size=4))
-    sub = induced_subgraph(graph, subsets[0])
-    inner_spec = LabellingSpec(LabelSet.IN_OUT_UN, semantics=data.draw(st.sampled_from(Semantics)))
-    built += [combine_with_off(graph, inner) for inner in labellings(sub, inner_spec)]
+    built += subgraph_labellings(graph, subsets[0], data.draw(st.sampled_from(Semantics)), 16)
     uniform = [(s, F(1, len(subsets))) for s in subsets]
     built += list(plf_from_pgf(PGF(graph, uniform)).probs)
     built += list(plf_from_pef(PEF(graph, uniform)).probs)
@@ -376,7 +404,7 @@ def _searched(graph, semantics):
 def test_labelling_search_matches_brute_force_on_abstract_graphs(graph, semantics):
     assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
     # the search also finds the IN-sets in the scan's order
-    in_sets = semantics_module._complete_in_sets(graph)
+    in_sets = semantics_module._complete_in_sets(graph, frozenset())
     assert in_sets == brute_force_complete_in_sets(graph)
 
 
@@ -393,6 +421,30 @@ def test_combined_labellings_match_brute_force(theory, policy, semantics):
     graph = capped_graph(theory, policy, max_args=6)
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics)
     assert labellings(graph, spec) == brute_force_combined(graph, semantics)
+
+
+def _pasted(graph, subset, semantics):
+    """Brute-force labellings of the validated induced subgraph, OFF pasted around them."""
+    inner = brute_force_labellings(induced_subgraph(graph, subset), semantics)
+    return [combine_with_off(graph, labelling) for labelling in inner]
+
+
+@given(abstract_graphs(max_args=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_subgraph_labellings_match_pasted_brute_force_on_abstract_graphs(graph, data):
+    """Any subset, subargument-complete or not; the order must agree too."""
+    subset = data.draw(st.frozensets(st.sampled_from(graph.ids())))
+    for semantics in Semantics:
+        assert subgraph_labellings(graph, subset, semantics, 16) == _pasted(graph, subset, semantics)
+
+
+@given(theories(max_rules=5), policies, st.data())
+@settings(max_examples=150, deadline=None)
+def test_subgraph_labellings_match_pasted_brute_force_on_theory_graphs(theory, policy, data):
+    graph = capped_graph(theory, policy, max_args=6)
+    subset = data.draw(st.frozensets(st.sampled_from(graph.ids()))) if graph.ids() else frozenset()
+    for semantics in Semantics:
+        assert subgraph_labellings(graph, subset, semantics, 16) == _pasted(graph, subset, semantics)
 
 
 @given(theories(), policies, st.data())
