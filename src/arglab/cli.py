@@ -53,6 +53,9 @@ from .semantics import MAX_ENUM_ARGUMENTS, LabellingSpec, Semantics, labellings
 
 SCHEMA = 1
 
+# --semantics and --max-args-enum have no parser default, so that a labelled
+# file frame can tell whether they were given; these values apply when not
+_DEFAULTS = {"semantics": Semantics.GROUNDED.value, "max_args_enum": MAX_ENUM_ARGUMENTS}
 _LABEL_SETS = {"inoutun": LabelSet.IN_OUT_UN, "inoutunoff": LabelSet.IN_OUT_UN_OFF}
 _STMT_LABELS = {
     StatementScheme.BIVALENT: [StatementLabel.IN, StatementLabel.NO],
@@ -117,25 +120,38 @@ def _load_graph(args, theory) -> ArgumentationGraph:
     return build_graph(theory, policy=PreferencePolicy(args.policy), **caps)
 
 
+def _option(args, dest: str):
+    """The value of an option in ``_DEFAULTS``, its default when not given."""
+    return getattr(args, dest, _DEFAULTS[dest])
+
+
 def _build_plf(args, theory) -> PLF:
     """Resolve the --frame option into a labelling frame.
 
     Rule-subset frames push the theory forward and build their own graph; the
     file-based frames over arguments load it here.  ``plf:`` and ``pef:``
     frames are labellings already: --semantics labels every other frame, and
-    --weights and --legal-only apply only there.
+    --weights, --legal-only and --max-args-enum apply only there.  A ``plf:``
+    frame's spec carries --semantics, which is not checked against it.
     """
     spec = args.frame
     kind, colon, file_part = spec.partition(":")
     if not colon and spec != "independent":
         raise DistributionError(f"bad frame spec {spec!r}")
     if kind in ("plf", "pef"):
-        for flag, value in (("--weights", args.weights), ("--legal-only", args.legal_only)):
+        given = {
+            "--weights": args.weights,
+            "--legal-only": args.legal_only,
+            "--max-args-enum": "max_args_enum" in args,
+            "--semantics": kind == "pef" and "semantics" in args,
+        }
+        for flag, value in given.items():
             if value:
                 raise DistributionError(
                     f"{flag} does not apply to a {kind}: frame, which no semantics labels"
                 )
-    semantics = Semantics(args.semantics)
+    semantics = Semantics(_option(args, "semantics"))
+    max_args_enum = _option(args, "max_args_enum")
     weights = _load_weights(args.weights)
     text = Path(file_part).read_text() if colon else ""
     if not colon or kind == "ptf":
@@ -161,11 +177,11 @@ def _build_plf(args, theory) -> PLF:
             pgf = PGF(graph, parse_subset_distribution(text))
         elif kind == "pag":
             pag = PAG(graph.without_sub_edges(), parse_argument_probabilities(text))
-            pgf = pag_to_pgf(pag, max_args=args.max_args_enum)
+            pgf = pag_to_pgf(pag, max_args=max_args_enum)
         else:
             raise DistributionError(f"unknown frame kind {kind!r}")
     return plf_with_semantics(
-        pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=args.max_args_enum
+        pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=max_args_enum
     )
 
 
@@ -207,12 +223,12 @@ def cmd_label(args) -> int:
     graph = _load_graph(args, _load_theory(path))
     spec = LabellingSpec(
         _LABEL_SETS[args.labels],
-        semantics=Semantics(args.semantics),
+        semantics=Semantics(_option(args, "semantics")),
         legal_only=args.legal_only,
     )
-    result = labellings(graph, spec, max_args=args.max_args_enum)
+    result = labellings(graph, spec, max_args=_option(args, "max_args_enum"))
     body = {
-        "semantics": args.semantics,
+        "semantics": spec.semantics.value,
         "labels": args.labels,
         "labellings": [_labelling_json(l) for l in result],
     }
@@ -257,10 +273,15 @@ def _marginal_body(args, plf: PLF) -> Dict[str, object]:
     raise DistributionError(f"bad target {target!r}; use arg:ID, stmt:LIT or all")
 
 
+def _semantics_field(plf: PLF) -> Optional[str]:
+    """The semantics the frame's spec carries; none for a ``pef:`` frame."""
+    return plf.spec.semantics.value if plf.spec.semantics is not None else None
+
+
 def cmd_marginal(args) -> int:
     path = Path(args.file)
     plf = _build_plf(args, _load_theory(path))
-    body = {"frame": args.frame, "semantics": args.semantics}
+    body = {"frame": args.frame, "semantics": _semantics_field(plf)}
     body.update(_marginal_body(args, plf))
     _emit(_report("marginal", path, body))
     return 0
@@ -273,7 +294,7 @@ def cmd_check(args) -> int:
     report = check_properties(plf, theory)
     body = {
         "frame": args.frame,
-        "semantics": args.semantics,
+        "semantics": _semantics_field(plf),
         "ok": report.ok,
         "properties": [asdict(r) for r in report.results],
         "justification": {
@@ -320,14 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].add_argument(
             "--semantics",
             choices=[s.value for s in Semantics],
-            default=Semantics.GROUNDED.value,
+            default=argparse.SUPPRESS,
+            help=f"default {_DEFAULTS['semantics']}",
         )
         commands[name].add_argument("--legal-only", action="store_true")
         commands[name].add_argument(
             "--max-args-enum",
             type=int,
-            default=MAX_ENUM_ARGUMENTS,
-            help="cap on arguments in exhaustive labelling and subset enumeration",
+            default=argparse.SUPPRESS,
+            help="cap on arguments in exhaustive labelling and subset enumeration "
+            f"(default {_DEFAULTS['max_args_enum']})",
         )
     for name in ("marginal", "check"):
         commands[name].add_argument(

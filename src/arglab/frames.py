@@ -413,9 +413,14 @@ def plf_with_semantics(
     Every subgraph in the support contributes its semantics labellings,
     extended with OFF outside, split by the sublabelling weights (uniform by
     default).  A subgraph with no labelling under the semantics (an odd
-    attack cycle has no stable one) raises DistributionError.
+    attack cycle has no stable one), or a weight entry naming an argument
+    outside the graph, raises DistributionError.
     """
     weights = weights or SublabellingWeights()
+    named = {a for assignment, _ in weights.entries for a, _ in assignment}
+    unknown = sorted(named - pgf.graph.arguments.keys())
+    if unknown:
+        raise DistributionError(f"weights name unknown arguments {unknown}")
     admit = is_legal if legal_only else is_subargument_complete
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
     entries = []

@@ -75,6 +75,8 @@ class LabellingSpec:
             raise ValueError("{ON,OFF} specs take a criterion, not a semantics")
         if self.label_set is not LabelSet.ON_OFF and self.criterion is not OnOffCriterion.ALL:
             raise ValueError("structural criteria only apply to {ON,OFF} specs")
+        if self.legal_only and self.label_set is not LabelSet.IN_OUT_UN_OFF:
+            raise ValueError("legal_only only applies to {IN,OUT,UN,OFF} specs")
 
 
 Labels = Tuple[ArgLabel, ...]  # one label per argument, in ``graph.ids()`` order

@@ -322,21 +322,65 @@ def test_enumeration_cap_has_one_name(theory_file, capsys, command):
     assert capsys.readouterr().err == "cap exceeded: 3 arguments exceeds the enumeration cap of 2\n"
 
 
-@pytest.mark.parametrize("kind", ["plf", "pef"])
-@pytest.mark.parametrize("flag", ["--weights", "--legal-only"])
-def test_flags_a_labelled_frame_ignores_exit_2(theory_file, tmp_path, capsys, kind, flag):
+def _labelled_frame(tmp_path, kind):
     frame = tmp_path / f"frame.{kind}"
     frame.write_text({"plf": "{rb1()=IN, rb2()=IN, rb(rb1(),rb2())=IN, rc()=OUT, rd()=IN} : 1.\n",
                       "pef": "{rd()} : 1.\n"}[kind])
+    return f"{kind}:{frame}"
+
+
+@pytest.mark.parametrize("command", ["marginal", "check"])
+@pytest.mark.parametrize("kind, flag", [
+    ("plf", "--weights"), ("plf", "--legal-only"), ("plf", "--max-args-enum"),
+    ("pef", "--weights"), ("pef", "--legal-only"), ("pef", "--max-args-enum"),
+    ("pef", "--semantics"),
+])
+def test_flags_a_labelled_frame_ignores_exit_2(theory_file, tmp_path, capsys, command, kind, flag):
+    """Given at all, even with its default value, a flag the frame ignores is an error."""
     weights = tmp_path / "weights.dl"
     weights.write_text("{rc()=IN} : 1.\n")
-    argv = ["marginal", theory_file, "--frame", f"{kind}:{frame}"]
+    argv = [command, theory_file, "--frame", _labelled_frame(tmp_path, kind)]
     assert run(capsys, *argv)[0] == 0
-    extra = ["--weights", str(weights)] if flag == "--weights" else [flag]
+    extra = {
+        "--weights": ["--weights", str(weights)],
+        "--legal-only": ["--legal-only"],
+        "--max-args-enum": ["--max-args-enum", "16"],
+        "--semantics": ["--semantics", "grounded"],
+    }[flag]
     assert main(argv + extra) == 2
     assert capsys.readouterr().err == (
         f"validation error: {flag} does not apply to a {kind}: frame, which no semantics labels\n"
     )
+
+
+@pytest.mark.parametrize("command", ["marginal", "check"])
+def test_report_semantics_is_the_frames(theory_file, tmp_path, capsys, command):
+    """A plf: frame carries --semantics in its spec; a pef: frame carries none."""
+    plf = [command, theory_file, "--frame", _labelled_frame(tmp_path, "plf")]
+    code, out = run(capsys, *plf, "--semantics", "preferred")
+    assert code == 0 and json.loads(out)["semantics"] == "preferred"
+    code, out = run(capsys, command, theory_file, "--frame", _labelled_frame(tmp_path, "pef"))
+    assert code == 0 and json.loads(out)["semantics"] is None
+    code, out = run(capsys, command, theory_file)
+    assert code == 0 and json.loads(out)["semantics"] == "grounded"
+
+
+def test_weights_naming_an_unknown_argument_exit_2(theory_file, tmp_path, capsys):
+    wfile = tmp_path / "weights.dl"
+    wfile.write_text("{zz()=IN} : 1.\n")
+    code = main(["marginal", theory_file, "--semantics", "preferred", "--weights", str(wfile)])
+    assert code == 2
+    assert capsys.readouterr().err == "validation error: weights name unknown arguments ['zz()']\n"
+
+
+def test_legal_only_needs_combined_labels(theory_file, capsys):
+    """--legal-only picks the subgraphs of {IN,OUT,UN,OFF} labellings; inoutun has none."""
+    argv = ["label", theory_file, "--semantics", "complete", "--legal-only"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: legal_only only applies to {IN,OUT,UN,OFF} specs\n"
+    )
+    assert run(capsys, *argv, "--labels", "inoutunoff")[0] == 0
 
 
 @pytest.mark.parametrize("label", ["ON", "OFF"])

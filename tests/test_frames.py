@@ -204,6 +204,15 @@ def test_weights_must_sum_to_one(mutual_graph):
         plf_with_semantics(pgf, Semantics.PREFERRED, weights=bad)
 
 
+def test_weights_naming_an_unknown_argument_are_rejected(mutual_graph):
+    pgf = PGF(mutual_graph, {fs("rb()", "rc()"): F(1)})
+    weights = SublabellingWeights.from_entries(
+        [({"rb()": ArgLabel.IN}, F(1, 2)), ({"zz()": ArgLabel.IN, "rc()": ArgLabel.IN}, F(1, 2))]
+    )
+    with pytest.raises(DistributionError, match=r"weights name unknown arguments \['zz\(\)'\]"):
+        plf_with_semantics(pgf, Semantics.PREFERRED, weights=weights)
+
+
 def test_plf_with_semantics_rejects_incomplete_subgraphs(chain_graph):
     pgf = PGF(chain_graph, {fs(C_BC): F(1)})
     with pytest.raises(DistributionError):

@@ -182,6 +182,15 @@ def test_spec_validation():
         LabellingSpec(LabelSet.IN_OUT_UN, criterion=OnOffCriterion.LEGAL)
 
 
+@pytest.mark.parametrize("label_set", [LabelSet.ON_OFF, LabelSet.IN_OUT_UN])
+def test_legal_only_needs_combined_labellings(label_set):
+    """legal_only picks the subgraphs of combined labellings; no other label set has any."""
+    semantics = None if label_set is LabelSet.ON_OFF else Semantics.COMPLETE
+    with pytest.raises(ValueError, match="legal_only only applies to {IN,OUT,UN,OFF} specs"):
+        LabellingSpec(label_set, semantics=semantics, legal_only=True)
+    LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=Semantics.COMPLETE, legal_only=True)
+
+
 @given(theories())
 @settings(max_examples=60, deadline=None)
 def test_grounded_fixpoint_matches_enumeration_on_random_graphs(theory):
