@@ -235,7 +235,8 @@ def subgraph_labellings(
 
     Labelled in place on ``graph``'s index: an absent attacker counts as OUT,
     so "all attackers OUT" is ``att[a] <= OUT | absent``, and every other test
-    meets ``att[a]`` with an IN set inside ``subset``.  The cap applies to it.
+    meets ``att[a]`` with an IN set inside ``subset``.  The cap applies to
+    ``len(subset)``.
     """
     check_cap(len(subset), max_args)
     absent = frozenset(a for a in graph.ids() if a not in subset)
