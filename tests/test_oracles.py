@@ -6,12 +6,12 @@ every subargument edge and attack; the attackers index inverted from the
 attack set; the pushforward that rebuilds arguments per rule subset; the
 product over all 2^n subsets; the complete, preferred and stable labellings
 found by testing all 2^n candidate IN-sets, the conflict-free ones by testing
-all 3^n assignments; combined labellings pasted around a labelling of the
-induced subgraph, which is built and validated on its own; labellings built through the
-sorting, checking ``Labelling.from_mapping``; the argument and statement
-marginals that rescan the support on every call; and the distribution merge
-and marginal tables that add one ``Fraction`` at a time.  Results must agree
-exactly, under both preference policies.
+all 3^n assignments; combined labellings with OFF pasted around a labelling
+of the induced subgraph, built and validated as a graph of its own;
+labellings built through the sorting, checking ``Labelling.from_mapping``;
+the argument and statement marginals that rescan the support on every call;
+and the distribution merge and marginal tables that add one ``Fraction`` at a
+time.  Results must agree exactly, under both preference policies.
 """
 
 import itertools
