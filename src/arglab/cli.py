@@ -9,6 +9,7 @@ numerator/denominator plus a rounded decimal for readability.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -370,8 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at first use and kept: parsing leaves it unchanged,
+    and options not given have no default (``argparse.SUPPRESS``) or a fixed one."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TheoryParseError as exc:

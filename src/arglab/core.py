@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
@@ -155,7 +156,9 @@ class ArgumentationGraph:
     antireflexive and acyclic, and an attack on an argument extends to every
     argument having it as a direct subargument.  The check leaves behind the
     index every layer reads: ``attackers`` maps each id to the frozenset of
-    its attackers, and :meth:`ids` is the sorted id tuple.
+    its attackers, and :meth:`ids` is the sorted id tuple.  The labelling
+    search reads the same index as bitmasks, :attr:`attacker_masks`, built on
+    first use.
     """
 
     arguments: Mapping[str, Argument]
@@ -207,8 +210,15 @@ class ArgumentationGraph:
                 visit(node)
 
     def ids(self) -> Tuple[str, ...]:
-        """Argument ids in sorted order, the order of every labelling's entries."""
+        """Argument ids in sorted order, the order of every labelling's labels."""
         return self._ids
+
+    @cached_property
+    def attacker_masks(self) -> Tuple[int, ...]:
+        """Each argument's attackers as an ``int`` whose bit j stands for ``ids()[j]``,
+        aligned to :meth:`ids`."""
+        bit = {a: 1 << j for j, a in enumerate(self._ids)}
+        return tuple(sum(bit[b] for b in self.attackers[a]) for a in self._ids)
 
     def without_sub_edges(self) -> "ArgumentationGraph":
         """Abstract view of the graph, subargument structure dropped."""
@@ -221,6 +231,10 @@ class ArgLabel(Enum):
     UN = "UN"
     ON = "ON"
     OFF = "OFF"
+
+    # members are singletons compared by identity, so the identity hash agrees
+    # with equality and costs no Python-level call, unlike ``Enum.__hash__``
+    __hash__ = object.__hash__
 
     @property
     def rank(self) -> int:
@@ -246,16 +260,27 @@ class LabelSet(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Labelling:
     """A total assignment of labels to argument ids.
 
-    Stored as a sorted tuple of pairs so labellings are hashable and can key
-    probability distributions.
+    ``ids`` is the sorted id tuple; every labelling the engine builds holds
+    the graph's own ``ids()`` tuple, shared by all of them.  ``labels`` holds
+    one label per id, in that order.  Labellings are hashable and key
+    probability distributions; the hash, of the labels alone, is computed
+    once, and equality also compares the label set and the ids.
     """
 
     label_set: LabelSet
-    entries: Tuple[Tuple[str, ArgLabel], ...]
+    ids: Tuple[str, ...]
+    labels: Tuple[ArgLabel, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.labels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def over(
@@ -266,7 +291,11 @@ class Labelling:
         For labels the engine computes itself: they are neither checked against
         the label set nor sorted again.
         """
-        return Labelling(label_set, tuple(zip(graph.ids(), labels, strict=True)))
+        ids = graph.ids()
+        labels = tuple(labels)
+        if len(labels) != len(ids):
+            raise ValueError(f"{len(labels)} labels for {len(ids)} arguments")
+        return Labelling(label_set, ids, labels)
 
     @staticmethod
     def from_mapping(label_set: LabelSet, mapping: Mapping[str, ArgLabel]) -> "Labelling":
@@ -275,28 +304,34 @@ class Labelling:
         for arg_id, label in mapping.items():
             if label not in labels:
                 raise ValueError(f"label {label.value} not in label set for {arg_id}")
-        return Labelling(label_set, tuple(sorted(mapping.items())))
+        ids = tuple(sorted(mapping))
+        return Labelling(label_set, ids, tuple(mapping[a] for a in ids))
+
+    @property
+    def entries(self) -> Tuple[Tuple[str, ArgLabel], ...]:
+        """(id, label) pairs in id order."""
+        return tuple(zip(self.ids, self.labels))
 
     @property
     def mapping(self) -> Dict[str, ArgLabel]:
-        return dict(self.entries)
+        return dict(zip(self.ids, self.labels))
 
     def label(self, arg_id: str) -> ArgLabel:
-        m = self.mapping
-        if arg_id not in m:
-            raise KeyError(arg_id)
-        return m[arg_id]
+        try:
+            return self.labels[self.ids.index(arg_id)]
+        except ValueError:
+            raise KeyError(arg_id) from None
 
     def with_label(self, label: ArgLabel) -> FrozenSet[str]:
         """Ids carrying the given label."""
-        return frozenset(a for a, l in self.entries if l is label)
+        return frozenset(a for a, l in zip(self.ids, self.labels) if l is label)
 
     def sort_key(self) -> Tuple[int, ...]:
         """Deterministic order: label ranks in canonical-id order."""
-        return tuple(l.rank for _, l in self.entries)
+        return tuple(map(_LABEL_RANK.__getitem__, self.labels))
 
     def __str__(self) -> str:
-        body = ", ".join(f"{a}={l.value}" for a, l in self.entries)
+        body = ", ".join(f"{a}={l.value}" for a, l in zip(self.ids, self.labels))
         return "{" + body + "}"
 
 

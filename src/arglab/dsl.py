@@ -32,7 +32,10 @@ def parse_rational(text: str, line: int = 0, col: int = 0) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise TheoryParseError(f"bad rational {text!r}", line, col)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise TheoryParseError(f"zero denominator in {text!r}", line, col) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -214,6 +217,8 @@ def _parse_assignment(text: str, lineno: int) -> Dict[str, ArgLabel]:
         arg_id, label = part.split("=", 1)
         arg_id = arg_id.strip()
         label = label.strip()
+        if arg_id in mapping:
+            raise TheoryParseError(f"duplicate id {arg_id!r} in assignment", lineno, 1)
         try:
             mapping[arg_id] = ArgLabel(label)
         except ValueError:

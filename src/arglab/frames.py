@@ -7,7 +7,9 @@ total is exactly 1 and stores the result read-only; every conversion below
 goes through those constructors.  Probabilities must be ``Fraction`` or
 ``int``; a ``float`` is rejected.  Sums over outcomes (merging duplicates,
 the product distribution, the marginal tables) add plain ``int`` numerators
-over one common denominator and build a single ``Fraction`` per result.
+over one common denominator and build a single ``Fraction`` per result.  A
+labelling frame's tables read its support column by column: every labelling
+lists its labels in ``graph.ids()`` order.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
-    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -35,7 +37,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -69,24 +70,25 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _numerator_sums(
-    outcomes: Collection[Tuple[object, Fraction]], cells: Callable[[object], Iterable[Hashable]]
-) -> Tuple[int, Dict[Hashable, int]]:
-    """Add each outcome's probability into each of its cells, exactly.
+def _scaled(ps: Collection[Fraction]) -> Tuple[int, List[int]]:
+    """The probabilities as ``int`` numerators over one common denominator.
 
-    Probabilities are scaled to ``int`` numerators over the least common
-    multiple of their denominators, so a sum costs one integer addition per
-    (outcome, cell) instead of a gcd-normalised ``Fraction`` addition.
-    Returns that denominator and each cell's numerator, cells in first-seen
-    order; ``Fraction(n, den)`` is the cell's probability.
+    The denominator is the least common multiple of theirs, so a sum costs
+    one integer addition per term instead of a gcd-normalised ``Fraction``
+    addition.  Returns that denominator and the numerators, in order;
+    ``Fraction(n, den)`` is a probability or a sum of them.
     """
-    den = math.lcm(*(p.denominator for _, p in outcomes))
+    den = math.lcm(*(p.denominator for p in ps))
+    return den, [p.numerator * (den // p.denominator) for p in ps]
+
+
+def _cell_sums(cells: Iterable[Hashable], nums: Iterable[int]) -> Dict[Hashable, int]:
+    """Numerators summed per cell, the i-th numerator into the i-th cell; cells
+    in first-seen order."""
     sums: Dict[Hashable, int] = {}
-    for outcome, p in outcomes:
-        n = p.numerator * (den // p.denominator)
-        for cell in cells(outcome):
-            sums[cell] = sums.get(cell, 0) + n
-    return den, sums
+    for cell, n in zip(cells, nums):
+        sums[cell] = sums.get(cell, 0) + n
+    return sums
 
 
 def _check_rational(p, what) -> None:
@@ -108,8 +110,9 @@ def _normalise(entries) -> Mapping[object, Fraction]:
             raise DistributionError(f"negative probability {p} for {key}")
         if p.numerator:
             kept.append((key, p))
-    den, sums = _numerator_sums(kept, lambda key: (key,))
-    total = sum(sums.values())
+    den, nums = _scaled([p for _, p in kept])
+    sums = _cell_sums((key for key, _ in kept), nums)
+    total = sum(nums)
     if total != den:
         raise DistributionError(f"probabilities sum to {Fraction(total, den)}, expected 1")
     return MappingProxyType({key: Fraction(n, den) for key, n in sums.items()})
@@ -202,11 +205,11 @@ class PLF:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _normalise(self.probs))
-        ids = self.graph.arguments.keys()
+        ids = self.graph.ids()
         for labelling in self.probs:
             if labelling.label_set is not self.spec.label_set:
                 raise DistributionError("labelling outcome has the wrong label set")
-            if {a for a, _ in labelling.entries} != ids:
+            if labelling.ids is not ids and labelling.ids != ids:
                 raise DistributionError("labelling outcome is not total over the graph")
 
     def support(self) -> List[Labelling]:
@@ -214,11 +217,17 @@ class PLF:
 
     @cached_property
     def marginals(self) -> Dict[str, Dict[ArgLabel, Fraction]]:
-        """Probability of each label per argument id; labels never carried are absent."""
-        den, sums = _numerator_sums(self.probs.items(), lambda labelling: labelling.entries)
+        """Probability of each label per argument id; labels never carried are absent.
+
+        Every outcome's labels are aligned to ``graph.ids()``, so each
+        argument's row is summed down one column of the support.
+        """
+        den, nums = _scaled(self.probs.values())
+        columns = zip(*(labelling.labels for labelling in self.probs))
         table: Dict[str, Dict[ArgLabel, Fraction]] = {a: {} for a in self.graph.arguments}
-        for (arg_id, label), n in sums.items():
-            table[arg_id][label] = Fraction(n, den)
+        for arg_id, column in zip(self.graph.ids(), columns):
+            sums = _cell_sums(column, nums)
+            table[arg_id] = {label: Fraction(n, den) for label, n in sums.items()}
         return table
 
     @cached_property
@@ -227,22 +236,27 @@ class PLF:
         the arguments concluding it carry together.
 
         Statement labels depend on that set alone, so one pass over the support
-        serves every statement, label and scheme.
+        serves every statement, label and scheme.  Each statement reads the
+        columns of its concluding arguments: the labels found there are summed
+        first, and merged into label sets once per distinct combination.
         """
-        conclusion = {a: arg.conclusion for a, arg in self.graph.arguments.items()}
+        arguments = self.graph.arguments
         table: Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]] = {
-            c: {} for c in conclusion.values()
+            arg.conclusion: {} for arg in arguments.values()
         }
-
-        def label_sets(labelling: Labelling) -> List[Tuple[Literal, FrozenSet[ArgLabel]]]:
-            carried: Dict[Literal, Set[ArgLabel]] = {c: set() for c in table}
-            for arg_id, label in labelling.entries:
-                carried[conclusion[arg_id]].add(label)
-            return [(c, frozenset(labels)) for c, labels in carried.items()]
-
-        den, sums = _numerator_sums(self.probs.items(), label_sets)
-        for (c, labels), n in sums.items():
-            table[c][labels] = Fraction(n, den)
+        columns: Dict[Literal, List[int]] = {}
+        for j, arg_id in enumerate(self.graph.ids()):
+            columns.setdefault(arguments[arg_id].conclusion, []).append(j)
+        den, nums = _scaled(self.probs.values())
+        rows = [labelling.labels for labelling in self.probs]
+        for c, cols in columns.items():
+            # one column reads a label, several a tuple of labels
+            pick = operator.itemgetter(*cols)
+            merged: Dict[FrozenSet[ArgLabel], int] = {}
+            for carried, n in _cell_sums(map(pick, rows), nums).items():
+                labels = frozenset(carried) if len(cols) > 1 else frozenset((carried,))
+                merged[labels] = merged.get(labels, 0) + n
+            table[c] = {labels: Fraction(n, den) for labels, n in merged.items()}
         return table
 
 
@@ -380,6 +394,8 @@ class SublabellingWeights:
         k = len(inner_labellings)
         if k <= 1:
             return [ONE] * k
+        if not self.entries:
+            return [Fraction(1, k)] * k
         weights = []
         for labelling in inner_labellings:
             mapping = labelling.mapping

@@ -18,10 +18,12 @@ nothing UN.  Every other family is enumerated exhaustively: 2^n subsets or
 MAX_ENUM_ARGUMENTS arguments and is deterministic: results are sorted by the
 label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
 
-Every step reads the index the graph keeps from its validation:
-``graph.attackers`` for the attackers of each argument and ``graph.ids()``
-for the sorted id order.  Labellings are built with :meth:`Labelling.over`,
-their labels listed in that order, so none is sorted or checked again.
+Every step reads the index the graph keeps from its validation, as
+bitmasks: ``graph.attacker_masks`` holds the attackers of each argument,
+bit j standing for ``graph.ids()[j]``, and the IN, OUT and absent sets of a
+search are ``int`` masks over the same positions.  Labellings are built
+with :meth:`Labelling.over`, their labels listed in id order, so none is
+sorted or checked again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet
 from .construct import is_legal, is_rule_complete, is_subargument_complete
@@ -82,34 +84,50 @@ class LabellingSpec:
 Labels = Tuple[ArgLabel, ...]  # one label per argument, in ``graph.ids()`` order
 
 
-def _grounded_sets(graph: ArgumentationGraph, absent: FrozenSet[str]) -> Tuple[Set[str], Set[str]]:
-    """IN and OUT sets of the grounded labelling, by least fixpoint; OUT starts as ``absent``."""
-    att = graph.attackers
-    in_set: Set[str] = set()
-    out_set: Set[str] = set(absent)
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _grounded_masks(att: Sequence[int], absent: int) -> Tuple[int, int]:
+    """IN and OUT masks of the grounded labelling, by least fixpoint; OUT starts as ``absent``.
+
+    ``att`` holds each argument's attackers as a bitmask (``graph.attacker_masks``).
+    """
+    in_set = 0
+    out_set = absent
+    undecided = _bits(((1 << len(att)) - 1) & ~absent)
     changed = True
     while changed:
         changed = False
-        for a in graph.ids():
-            if a in in_set or a in out_set:
-                continue
-            if att[a] <= out_set:
-                in_set.add(a)
+        still = []
+        for i in undecided:
+            a = att[i]
+            if not a & ~out_set:
+                in_set |= 1 << i
                 changed = True
-            elif att[a] & in_set:
-                out_set.add(a)
+            elif a & in_set:
+                out_set |= 1 << i
                 changed = True
+            else:
+                still.append(i)
+        undecided = still
     return in_set, out_set
 
 
 def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
     """Least fixpoint computation of the unique grounded labelling."""
-    labels = _semantics_labels(graph, Semantics.GROUNDED, frozenset())[0]
+    labels = _semantics_labels(graph, Semantics.GROUNDED, 0)[0]
     return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
-def _complete_in_sets(graph: ArgumentationGraph, absent: FrozenSet[str]) -> List[FrozenSet[str]]:
-    """IN-sets of complete labellings, ordered as the bit vectors over sorted ids.
+def _complete_in_masks(att: Sequence[int], absent: int) -> List[int]:
+    """IN-sets of complete labellings as bitmasks, ordered as the bit vectors over sorted ids.
 
     A complete labelling is determined by its IN-set: the OUT-set is exactly
     the set of arguments with an attacker in it, and the IN-set must be
@@ -122,90 +140,99 @@ def _complete_in_sets(graph: ArgumentationGraph, absent: FrozenSet[str]) -> List
     neither attack grounded IN ones nor are attacked by them), so it is
     tested on the grounded-UN arguments only.  Absent arguments are grounded OUT.
     """
-    att = graph.attackers
-    g_in, g_out = _grounded_sets(graph, absent)
-    undecided = [a for a in graph.ids() if a not in g_in and a not in g_out]
-    out: List[FrozenSet[str]] = []
-    chosen: Set[str] = set()
+    g_in, g_out = _grounded_masks(att, absent)
+    undecided = _bits(((1 << len(att)) - 1) & ~(g_in | g_out))
+    out: List[int] = []
 
-    def is_complete() -> bool:
-        out_set = g_out | {a for a in undecided if att[a] & chosen}
+    def is_complete(chosen: int) -> bool:
+        out_set = g_out
+        for i in undecided:
+            if att[i] & chosen:
+                out_set |= 1 << i
         if chosen & out_set:
             return False
-        return all((a in chosen) == (att[a] <= out_set) for a in undecided)
+        # the undecided arguments whose attackers are all OUT must be exactly the chosen ones
+        not_out = ~out_set
+        accepted = 0
+        for i in undecided:
+            if not att[i] & not_out:
+                accepted |= 1 << i
+        return accepted == chosen
 
-    def search(i: int) -> None:
-        if i == len(undecided):
-            if is_complete():
-                out.append(frozenset(g_in | chosen))
+    def search(k: int, chosen: int, hit: int) -> None:
+        # ``hit`` is the union of the chosen arguments' attackers
+        if k == len(undecided):
+            if is_complete(chosen):
+                out.append(g_in | chosen)
             return
-        search(i + 1)
-        a = undecided[i]
-        if a not in att[a] and not (att[a] & chosen or any(a in att[c] for c in chosen)):
-            chosen.add(a)
-            search(i + 1)
-            chosen.remove(a)
+        search(k + 1, chosen, hit)
+        i = undecided[k]
+        bit = 1 << i
+        if not (att[i] & (chosen | bit) or hit & bit):
+            search(k + 1, chosen | bit, hit | att[i])
 
-    search(0)
+    search(0, 0, 0)
     return out
 
 
-def _maximal(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
-    """The sets with no strict superset among ``sets``, largest first.
+def _maximal(sets: List[int]) -> List[int]:
+    """The bitmasks with no strict superset among ``sets``, largest first.
 
     Visited largest first, a set is maximal unless it lies strictly inside
     one of the maximal sets already kept.
     """
-    kept: List[FrozenSet[str]] = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s < t for t in kept):
+    kept: List[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(s & t == s and s != t for t in kept):
             kept.append(s)
     return kept
 
 
-def _in_set_labels(graph: ArgumentationGraph, s: FrozenSet[str], absent: FrozenSet[str]) -> Labels:
-    att = graph.attackers
+_IN, _OUT, _UN, _OFF = ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN, ArgLabel.OFF
+
+
+def _in_set_labels(att: Sequence[int], s: int, absent: int) -> Labels:
     return tuple(
-        ArgLabel.OFF if a in absent
-        else ArgLabel.IN if a in s else ArgLabel.OUT if att[a] & s else ArgLabel.UN
-        for a in graph.ids()
+        _OFF if absent >> i & 1
+        else _IN if s >> i & 1 else _OUT if a & s else _UN
+        for i, a in enumerate(att)
     )
 
 
-def _cf_labels(graph: ArgumentationGraph, absent: FrozenSet[str]) -> List[Labels]:
+def _cf_labels(att: Sequence[int], absent: int) -> List[Labels]:
     """Conflict-free labellings: no IN argument has an IN attacker, and every
     OUT argument has at least one IN attacker."""
-    ids = graph.ids()
-    att = graph.attackers
+    present = _bits(((1 << len(att)) - 1) & ~absent)
     out: List[Labels] = []
-    for s in _subsets([a for a in ids if a not in absent]):
-        if any(att[a] & s for a in s):
+    for chosen in itertools.product((False, True), repeat=len(present)):
+        s = sum(1 << i for i, c in zip(present, chosen) if c)
+        if any(att[i] & s for i in _bits(s)):
             continue
         choices = [
-            (ArgLabel.OFF,) if a in absent
-            else (ArgLabel.IN,) if a in s
-            else (ArgLabel.OUT, ArgLabel.UN) if att[a] & s
-            else (ArgLabel.UN,)
-            for a in ids
+            (_OFF,) if absent >> i & 1
+            else (_IN,) if s >> i & 1
+            else (_OUT, _UN) if a & s
+            else (_UN,)
+            for i, a in enumerate(att)
         ]
         out.extend(itertools.product(*choices))
     return out
 
 
-def _semantics_labels(
-    graph: ArgumentationGraph, semantics: Semantics, absent: FrozenSet[str]
-) -> List[Labels]:
-    """Labels of the subgraph without the ``absent`` arguments, OFF on those."""
+def _semantics_labels(graph: ArgumentationGraph, semantics: Semantics, absent: int) -> List[Labels]:
+    """Labels of the subgraph without the ``absent`` arguments (a bitmask over
+    ``graph.ids()``), OFF on those."""
+    att = graph.attacker_masks
     if semantics is Semantics.CF:
-        return _cf_labels(graph, absent)
+        return _cf_labels(att, absent)
     if semantics is Semantics.GROUNDED:
-        return [_in_set_labels(graph, frozenset(_grounded_sets(graph, absent)[0]), absent)]
-    in_sets = _complete_in_sets(graph, absent)
+        return [_in_set_labels(att, _grounded_masks(att, absent)[0], absent)]
+    in_sets = _complete_in_masks(att, absent)
     if semantics is Semantics.PREFERRED:
         in_sets = _maximal(in_sets)
-    labels = [_in_set_labels(graph, s, absent) for s in in_sets]
+    labels = [_in_set_labels(att, s, absent) for s in in_sets]
     if semantics is Semantics.STABLE:  # nothing left UN
-        labels = [row for row in labels if ArgLabel.UN not in row]
+        labels = [row for row in labels if _UN not in row]
     return labels
 
 
@@ -239,7 +266,7 @@ def subgraph_labellings(
     ``len(subset)``.
     """
     check_cap(len(subset), max_args)
-    absent = frozenset(a for a in graph.ids() if a not in subset)
+    absent = sum(1 << i for i, a in enumerate(graph.ids()) if a not in subset)
     rows = _semantics_labels(graph, semantics, absent)
     combined = (Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, row) for row in rows)
     return sorted(combined, key=Labelling.sort_key)
@@ -266,7 +293,7 @@ def labellings(
         if spec.semantics is None:
             rows = itertools.product((ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN), repeat=len(ids))
         else:
-            rows = _semantics_labels(graph, spec.semantics, frozenset())
+            rows = _semantics_labels(graph, spec.semantics, 0)
         result = [Labelling.over(graph, LabelSet.IN_OUT_UN, row) for row in rows]
 
     else:  # IN_OUT_UN_OFF: combined labellings over admissible subgraphs

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +443,76 @@ def test_plf_label_set_matches_the_former_cases(mutual_file, mutual_theory, tmp_
         assert _label_set_or_error(_build_plf, args, mutual_theory) == (
             _label_set_or_error(_plf_before, graph, set(used), entries)
         ), used
+
+
+_ZERO_DENOMINATOR = {
+    "ptf": "{rb1} : 1/0.\n",
+    "pgf": "{rd()} : 1/0.\n",
+    "plf": "{rb1()=IN, rb2()=IN, rb(rb1(),rb2())=IN, rc()=OUT, rd()=IN} : 1/0.\n",
+    "pef": "{rd()} : 1/0.\n",
+    "pag": "rb1() : 1/0.\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ZERO_DENOMINATOR))
+def test_zero_denominator_in_a_frame_file_exit_2(theory_file, tmp_path, capsys, kind):
+    frame = tmp_path / f"frame.{kind}"
+    frame.write_text(_ZERO_DENOMINATOR[kind])
+    assert main(["marginal", theory_file, "--frame", f"{kind}:{frame}"]) == 2
+    assert capsys.readouterr().err == "parse error: line 1, col 0: zero denominator in '1/0'\n"
+
+
+def test_zero_denominator_in_theory_or_weights_exit_2(theory_file, tmp_path, capsys):
+    theory = tmp_path / "zero.dl"
+    theory.write_text("ra : => a.\np(ra) = 1/0.\n")
+    assert main(["args", str(theory)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2, col 0: zero denominator in '1/0'\n"
+    weights = tmp_path / "weights"
+    weights.write_text("{rc()=IN} : 1/0.\n")
+    assert main(["marginal", theory_file, "--semantics", "preferred", "--weights", str(weights)]) == 2
+    assert capsys.readouterr().err == "parse error: line 1, col 0: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("option", ["--frame", "--weights"])
+def test_assignment_naming_an_id_twice_exit_2(theory_file, tmp_path, capsys, option):
+    """The last label used to win silently; now the assignment is rejected."""
+    path = tmp_path / "assignment"
+    path.write_text("{rb1()=IN, rb2()=IN, rb(rb1(),rb2())=IN, rc()=OUT, rc()=IN, rd()=IN} : 1.\n")
+    value = f"plf:{path}" if option == "--frame" else str(path)
+    assert main(["marginal", theory_file, option, value]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 1, col 1: duplicate id 'rc()' in assignment\n"
+    )
+
+
+def test_main_back_to_back_leaks_no_option(theory_file, capsys):
+    """main() keeps one parser; options given to one call do not reach the next."""
+    code, out = run(capsys, "marginal", theory_file, "--semantics", "preferred", "--scheme", "bivalent")
+    assert code == 0
+    first = json.loads(out)
+    assert (first["semantics"], first["scheme"]) == ("preferred", "bivalent")
+    code, out = run(capsys, "marginal", theory_file)
+    assert code == 0
+    second = json.loads(out)
+    assert (second["semantics"], second["scheme"]) == ("grounded", "worstcase")
+    code, out = run(capsys, "label", theory_file, "--max-args", "5")
+    assert code == 0
+    assert main(["label", theory_file, "--max-args-enum", "2"]) == 3
+    capsys.readouterr()
+    code, out = run(capsys, "label", theory_file)
+    assert code == 0 and json.loads(out)["semantics"] == "grounded"
+
+
+def test_parser_is_built_at_first_use_and_kept():
+    """Importing the CLI builds nothing; main() then reuses one parser."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import arglab.cli as cli\n"
+        "print(cli._parser.cache_info().currsize)\n"
+        "print(cli._parser() is cli._parser())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, "0\nTrue\n"), done.stderr

@@ -149,3 +149,29 @@ def test_argument_probability_files():
     assert probs == {"rb()": Fraction(1, 2), "rc()": Fraction(1, 2)}
     with pytest.raises(TheoryParseError):
         parse_argument_probabilities("rb() : 1.\nrb() : 0.\n")
+
+
+def test_zero_denominator_is_a_parse_error():
+    """Every file format reads its probabilities through parse_rational."""
+    for text in ("1/0", "0/0"):
+        with pytest.raises(TheoryParseError, match=f"zero denominator in '{text}'"):
+            parse_rational(text)
+    with pytest.raises(TheoryParseError, match="line 2, col 0: zero denominator"):
+        parse_theory("r1 : => a.\np(r1) = 1/0.\n")
+    with pytest.raises(TheoryParseError, match="zero denominator"):
+        parse_subset_distribution("{r1} : 1/0.\n")
+    with pytest.raises(TheoryParseError, match="zero denominator"):
+        parse_assignment_distribution("{rb()=IN} : 3/0.\n")
+    with pytest.raises(TheoryParseError, match="zero denominator"):
+        parse_argument_probabilities("rb() : 1/0.\n")
+
+
+def test_assignment_naming_an_id_twice_is_a_parse_error():
+    with pytest.raises(TheoryParseError, match="line 2, col 1: duplicate id 'rb\\(\\)' in assignment"):
+        parse_assignment_distribution("{rc()=IN} : 1/2.\n{rb()=IN, rc()=OUT, rb()=OUT} : 1/2.\n")
+    # the same label twice is still a duplicate
+    with pytest.raises(TheoryParseError, match="duplicate id"):
+        parse_assignment_distribution("{rb()=IN, rb()=IN} : 1.\n")
+    # nested ids are split whole, so ids sharing a subargument are distinct
+    entries = parse_assignment_distribution("{rb(rb1(),rb2())=IN, rb1()=OUT} : 1.\n")
+    assert entries == [({"rb(rb1(),rb2())": ArgLabel.IN, "rb1()": ArgLabel.OUT}, Fraction(1))]

@@ -11,7 +11,9 @@ with ``odd_loop.pag`` were written by ``perfbench/gen.py``
 derives ``b`` from either of two rules for ``a``, so a subgraph holding both
 of them but only one argument for ``b`` is subargument-complete and not
 legal; ``legal.pgf`` puts mass on such a subgraph.  ``wide.dl`` has 21
-uncertain rules, one more than the ``independent`` frame takes.  The CLI runs
+uncertain rules, one more than the ``independent`` frame takes.  ``zero.dl``
+and ``zero.ptf`` each hold a probability with a zero denominator, and
+``duplicate.weights`` an assignment naming one argument twice.  The CLI runs
 inside that directory with relative paths, so the ``input`` and ``frame``
 fields carry no machine-specific path.
 
@@ -104,6 +106,12 @@ def cases():
     out.append(("odd_loop-pag-check-cap",
                 ["check", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--max-args-enum", "2"]))
     out.append(("wide-marginal-cap", ["marginal", "wide.dl"]))
+    # exit 2: unreadable probabilities and assignments
+    out.append(("zero-args", ["args", "zero.dl"]))
+    out.append(("running-marginal-ptf-zero", ["marginal", "running.dl", "--frame", "ptf:zero.ptf"]))
+    out.append(("running-marginal-duplicate-weights",
+                ["marginal", "running.dl", "--semantics", "preferred",
+                 "--weights", "duplicate.weights"]))
     return out
 
 

@@ -6,16 +6,21 @@ every subargument edge and attack; the attackers index inverted from the
 attack set; the pushforward that rebuilds arguments per rule subset; the
 product over all 2^n subsets; the complete, preferred and stable labellings
 found by testing all 2^n candidate IN-sets, the conflict-free ones by testing
-all 3^n assignments; combined labellings with OFF pasted around a labelling
-of the induced subgraph, built and validated as a graph of its own;
-labellings built through the sorting, checking ``Labelling.from_mapping``;
-the argument and statement marginals that rescan the support on every call;
-and the distribution merge and marginal tables that add one ``Fraction`` at a
-time.  Results must agree exactly, under both preference policies.
+all 3^n assignments; the labelling search on sets of ids that the bitmask
+search replaced; combined labellings with OFF pasted around a labelling of
+the induced subgraph, built and validated as a graph of its own; labellings
+built through the sorting, checking ``Labelling.from_mapping``, and the
+tuple-of-pairs labelling the label tuple replaced; the argument and
+statement marginals that rescan the support on every call; and the
+distribution merge, and the marginal tables folded one labelling at a time
+through ``label()`` and ``statement_label``, that add one ``Fraction`` at a
+time.
+Results must agree exactly, under both preference policies.
 """
 
 import itertools
 from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import given, reject, settings
@@ -58,6 +63,7 @@ from arglab import (
     ptf_independent,
     statement_label,
     statement_label_probability,
+    statement_marginal,
     subgraph_labellings,
 )
 from arglab import semantics as semantics_module
@@ -247,6 +253,107 @@ def brute_force_combined(graph, semantics):
     return sorted(result, key=Labelling.sort_key)
 
 
+def set_grounded_sets(graph, absent):
+    """IN and OUT sets of the grounded labelling on sets of ids; OUT starts as ``absent``."""
+    att = graph.attackers
+    in_set, out_set = set(), set(absent)
+    changed = True
+    while changed:
+        changed = False
+        for a in graph.ids():
+            if a in in_set or a in out_set:
+                continue
+            if att[a] <= out_set:
+                in_set.add(a)
+                changed = True
+            elif att[a] & in_set:
+                out_set.add(a)
+                changed = True
+    return in_set, out_set
+
+
+def set_complete_in_sets(graph, absent):
+    """IN-sets of complete labellings by the backtracking search, on sets of ids."""
+    att = graph.attackers
+    g_in, g_out = set_grounded_sets(graph, absent)
+    undecided = [a for a in graph.ids() if a not in g_in and a not in g_out]
+    out, chosen = [], set()
+
+    def is_complete():
+        out_set = g_out | {a for a in undecided if att[a] & chosen}
+        if chosen & out_set:
+            return False
+        return all((a in chosen) == (att[a] <= out_set) for a in undecided)
+
+    def search(i):
+        if i == len(undecided):
+            if is_complete():
+                out.append(frozenset(g_in | chosen))
+            return
+        search(i + 1)
+        a = undecided[i]
+        if a not in att[a] and not (att[a] & chosen or any(a in att[c] for c in chosen)):
+            chosen.add(a)
+            search(i + 1)
+            chosen.remove(a)
+
+    search(0)
+    return out
+
+
+def set_maximal(sets):
+    """The sets with no strict superset among ``sets``, largest first."""
+    kept = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s < t for t in kept):
+            kept.append(s)
+    return kept
+
+
+def set_in_set_labels(graph, s, absent):
+    att = graph.attackers
+    return tuple(
+        ArgLabel.OFF if a in absent
+        else ArgLabel.IN if a in s else ArgLabel.OUT if att[a] & s else ArgLabel.UN
+        for a in graph.ids()
+    )
+
+
+def as_mask(graph, ids):
+    return sum(1 << j for j, a in enumerate(graph.ids()) if a in ids)
+
+
+def as_set(graph, mask):
+    return frozenset(a for j, a in enumerate(graph.ids()) if mask >> j & 1)
+
+
+@dataclass(frozen=True)
+class PairLabelling:
+    """The former labelling: a sorted tuple of (id, label) pairs."""
+
+    label_set: LabelSet
+    entries: tuple
+
+    @property
+    def mapping(self):
+        return dict(self.entries)
+
+    def label(self, arg_id):
+        mapping = self.mapping
+        if arg_id not in mapping:
+            raise KeyError(arg_id)
+        return mapping[arg_id]
+
+    def with_label(self, label):
+        return frozenset(a for a, l in self.entries if l is label)
+
+    def sort_key(self):
+        return tuple(l.rank for _, l in self.entries)
+
+    def __str__(self):
+        return "{" + ", ".join(f"{a}={l.value}" for a, l in self.entries) + "}"
+
+
 def scanned_label_probability(plf, arg_id, label):
     """Scan the whole support for one argument and label."""
     return sum((p for l, p in plf.probs.items() if l.label(arg_id) is label), F(0))
@@ -279,27 +386,28 @@ def fraction_normalise(entries):
 
 
 def fraction_marginals(plf):
-    """Per argument, each label's probability, one Fraction addition per labelling and argument."""
+    """Per argument, each label's probability, folded one labelling at a time
+    through ``label()``, one Fraction addition per labelling and argument."""
     table = {a: {} for a in plf.graph.arguments}
     for labelling, p in plf.probs.items():
-        for arg_id, label in labelling.entries:
+        for arg_id in plf.graph.ids():
             row = table[arg_id]
+            label = labelling.label(arg_id)
             row[label] = row.get(label, F(0)) + p
     return table
 
 
 def fraction_conclusion_label_sets(plf):
-    """Per statement, each carried label set's probability, one Fraction addition per
-    labelling and statement."""
-    conclusion = {a: arg.conclusion for a, arg in plf.graph.arguments.items()}
-    table = {c: {} for c in conclusion.values()}
+    """Per statement, each carried label set's probability, folded one labelling
+    at a time through ``label()``, one Fraction addition per labelling and statement."""
+    concluding = {}
+    for a, arg in plf.graph.arguments.items():
+        concluding.setdefault(arg.conclusion, []).append(a)
+    table = {c: {} for c in concluding}
     for labelling, p in plf.probs.items():
-        carried = {c: set() for c in table}
-        for arg_id, label in labelling.entries:
-            carried[conclusion[arg_id]].add(label)
-        for c, labels in carried.items():
+        for c, ids in concluding.items():
             row = table[c]
-            key = frozenset(labels)
+            key = frozenset(labelling.label(a) for a in ids)
             row[key] = row.get(key, F(0)) + p
     return table
 
@@ -358,6 +466,7 @@ def test_attackers_index_matches_inverted_attacks(theory, policy, data):
         assert dict(g.attackers) == inverted_attacks(g)
         assert all(type(att) is frozenset for att in g.attackers.values())
         assert g.ids() == tuple(sorted(g.arguments))
+        assert g.attacker_masks == tuple(as_mask(g, g.attackers[a]) for a in g.ids())
     # the subgraph walks the parent's sorted ids, whatever the set's own order
     assert list(sub.arguments) == list(sub.ids())
 
@@ -389,7 +498,35 @@ def test_engine_labellings_match_from_mapping(theory, policy, data):
     built += list(plf_from_pgf(PGF(graph, uniform)).probs)
     built += list(plf_from_pef(PEF(graph, uniform)).probs)
     for labelling in built:
-        assert labelling == _checked(labelling)
+        rebuilt = _checked(labelling)
+        assert labelling == rebuilt
+        assert hash(labelling) == hash(rebuilt)
+        assert labelling.sort_key() == rebuilt.sort_key()
+        assert {rebuilt: True}[labelling]
+        # every labelling the engine builds shares the graph's id tuple
+        assert labelling.ids is ids
+    assert sorted(built, key=Labelling.sort_key) == sorted(map(_checked, built), key=Labelling.sort_key)
+
+
+@given(theories(max_rules=5), policies, st.data())
+@settings(max_examples=60, deadline=None)
+def test_label_tuple_labelling_matches_pair_labelling(theory, policy, data):
+    """The dense labelling reads as the sorted tuple of pairs it replaced."""
+    graph = capped_graph(theory, policy, max_args=6)
+    ids = graph.ids()
+    label_set = data.draw(st.sampled_from(list(LabelSet)))
+    labels = sorted(label_set.labels, key=lambda l: l.rank)
+    mapping = {a: data.draw(st.sampled_from(labels)) for a in ids}
+    dense = Labelling.over(graph, label_set, (mapping[a] for a in ids))
+    pairs = PairLabelling(label_set, tuple(sorted(mapping.items())))
+    assert dense == Labelling.from_mapping(label_set, mapping)
+    assert (dense.entries, dense.mapping, dense.sort_key(), str(dense)) == (
+        pairs.entries, pairs.mapping, pairs.sort_key(), str(pairs)
+    )
+    for arg_id in ids:
+        assert dense.label(arg_id) is pairs.label(arg_id)
+    for label in ArgLabel:
+        assert dense.with_label(label) == pairs.with_label(label)
 
 
 _SEARCHED = st.sampled_from([Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE])
@@ -404,8 +541,37 @@ def _searched(graph, semantics):
 def test_labelling_search_matches_brute_force_on_abstract_graphs(graph, semantics):
     assert _searched(graph, semantics) == brute_force_labellings(graph, semantics)
     # the search also finds the IN-sets in the scan's order
-    in_sets = semantics_module._complete_in_sets(graph, frozenset())
-    assert in_sets == brute_force_complete_in_sets(graph)
+    in_sets = semantics_module._complete_in_masks(graph.attacker_masks, 0)
+    assert [as_set(graph, s) for s in in_sets] == brute_force_complete_in_sets(graph)
+
+
+def _check_masks_against_sets(graph):
+    """The bitmask search and the set-based one agree on every subgraph."""
+    att = graph.attacker_masks
+    ids = graph.ids()
+    for bits in itertools.product((False, True), repeat=len(ids)):
+        absent = frozenset(a for a, b in zip(ids, bits) if not b)
+        mask = as_mask(graph, absent)
+        g_in, g_out = semantics_module._grounded_masks(att, mask)
+        assert (as_set(graph, g_in), as_set(graph, g_out)) == set_grounded_sets(graph, absent)
+        masks = semantics_module._complete_in_masks(att, mask)
+        sets = set_complete_in_sets(graph, absent)
+        assert [as_set(graph, m) for m in masks] == sets
+        assert [as_set(graph, m) for m in semantics_module._maximal(masks)] == set_maximal(sets)
+        for m, s in zip(masks, sets):
+            assert semantics_module._in_set_labels(att, m, mask) == set_in_set_labels(graph, s, absent)
+
+
+@given(abstract_graphs(max_args=6))
+@settings(max_examples=150, deadline=None)
+def test_bitmask_search_matches_set_search_on_abstract_graphs(graph):
+    _check_masks_against_sets(graph)
+
+
+@given(theories(max_rules=5), policies)
+@settings(max_examples=100, deadline=None)
+def test_bitmask_search_matches_set_search_on_theory_graphs(theory, policy):
+    _check_masks_against_sets(capped_graph(theory, policy, max_args=6))
 
 
 @given(theories(), policies, _SEARCHED)
@@ -568,3 +734,11 @@ def test_plf_tables_match_fraction_sums(theory, policy, semantics, data):
         plf = _random_plf(graph, data)
     assert _rows(plf.marginals) == _rows(fraction_marginals(plf))
     assert _rows(plf.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(plf))
+    # the statement rows folded from the table, against statement_label per labelling
+    for statement in plf.conclusion_label_sets:
+        for scheme in StatementScheme:
+            expect = {}
+            for labelling, p in plf.probs.items():
+                key = statement_label(labelling, graph, statement, scheme)
+                expect[key] = expect.get(key, F(0)) + p
+            assert statement_marginal(plf, statement, scheme) == expect
