@@ -282,6 +282,11 @@ class Labelling:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # The labels hash by identity, so a pickled hash is stale in another
+        # process: rebuild the labelling, and with it the hash, on loading.
+        return (Labelling, (self.label_set, self.ids, self.labels))
+
     @staticmethod
     def over(
         graph: ArgumentationGraph, label_set: LabelSet, labels: Iterable[ArgLabel]

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arglab import (
@@ -125,6 +131,25 @@ def test_labelling_construction_and_queries():
         l.label("w")
     with pytest.raises(ValueError):
         Labelling.from_mapping(LabelSet.IN_OUT_UN, {"x": ArgLabel.OFF})
+
+
+def test_labelling_pickles_across_processes():
+    """A labelling loaded in another process hashes like one built there."""
+    l = Labelling.from_mapping(LabelSet.IN_OUT_UN, {"x": ArgLabel.IN, "y": ArgLabel.UN})
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import pickle, sys\n"
+        "from arglab import ArgLabel, Labelling, LabelSet\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = Labelling.from_mapping(LabelSet.IN_OUT_UN, {'x': ArgLabel.IN, 'y': ArgLabel.UN})\n"
+        "print(loaded == fresh, hash(loaded) == hash(fresh), {fresh: 1}.get(loaded))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(l), capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, b"True True 1\n"), done.stderr
+    assert pickle.loads(pickle.dumps(l)) == l
 
 
 def test_label_order_ranks():

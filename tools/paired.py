@@ -1,6 +1,6 @@
 """Paired timing of two checkouts of arglab on one perfbench workload.
 
-    python3 tools/paired.py BASE HEAD --workload marginal-preferred --seed 0 --rounds 3
+    python3 tools/paired.py BASE HEAD --workload marginal-preferred --seed 0
 
 BASE and HEAD are checkout roots, each holding ``src/arglab``.  Both
 ``arglab.cli`` modules are loaded into this one process, under the package
@@ -39,6 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run as perfbench  # noqa: E402  (perfbench/run.py, read only)
+
+QUERIES = 200  # pool items timed, from item 0
+ROUNDS = 3
 
 
 def load_cli(checkout: Path, name: str):
@@ -80,21 +83,19 @@ def main() -> int:
     parser.add_argument("head", type=Path, help="checkout root of the head")
     parser.add_argument("--workload", default="marginal-preferred", choices=list(perfbench.WORKLOADS))
     parser.add_argument("--seed", type=int, default=perfbench.DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=200, help="pool items, from item 0")
-    parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args()
     perfbench._pin_hash_seed(args.seed)
     sides = {"base": load_cli(args.base.resolve(), "arglab_base"),
              "head": load_cli(args.head.resolve(), "arglab_head")}
     workload = perfbench.WORKLOADS[args.workload]
-    count = min(args.queries, workload.pool_size)
+    count = min(QUERIES, workload.pool_size)
     walls: Dict[str, List[List[float]]] = {side: [[] for _ in range(count)] for side in sides}
-    round_s = [{side: 0.0 for side in sides} for _ in range(args.rounds)]
+    round_s = [{side: 0.0 for side in sides} for _ in range(ROUNDS)]
     with tempfile.TemporaryDirectory(prefix="paired-") as work:
         pool = [workload.make(args.seed, i, Path(work)) for i in range(count)]
         for cli in sides.values():
             send(cli, pool[0].argv)  # warm-up, not timed
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for i, query in enumerate(pool):
                 order = ("base", "head") if (i + r) % 2 == 0 else ("head", "base")
                 answers = {}
@@ -112,14 +113,14 @@ def main() -> int:
         "workload": args.workload,
         "seed": args.seed,
         "queries": count,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "python": sys.version.split()[0],
         "outputs_identical": True,
         "per_query_min_s": {side: quartiles(minima[side]) for side in sides},
         "per_query_min_ratio": quartiles(ratios),
         "throughput_ratio": total["base"] / total["head"],
         "throughput_ratio_per_round": [s["base"] / s["head"] for s in round_s],
-        "queries_per_s": {side: count * args.rounds / total[side] for side in sides},
+        "queries_per_s": {side: count * ROUNDS / total[side] for side in sides},
     }
     print(json.dumps(report, indent=1))
     return 0
