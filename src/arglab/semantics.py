@@ -9,11 +9,14 @@ Three labelling families are supported:
 * combined {IN, OUT, UN, OFF} labellings: a semantics labelling of some
   subargument-complete subgraph, OFF everywhere else.
 
-Complete, preferred and stable labellings are found by a backtracking search
-over the arguments the grounded labelling leaves UN, since every complete
-labelling agrees with the grounded one on its IN and OUT arguments; preferred
-ones are the complete ones with a maximal IN-set, stable ones those with
-nothing UN.  Every other family is enumerated exhaustively: 2^n subsets or
+The grounded labelling is a least fixpoint.  Every other semantics reads
+one backtracking search for conflict-free IN-sets: conflict-free labellings
+over all present arguments, complete, preferred and stable ones over the
+arguments the grounded labelling leaves UN, since every complete labelling
+agrees with the grounded one on its IN and OUT arguments; preferred ones are
+the complete ones with a maximal IN-set, stable ones those with nothing UN.
+{ON, OFF} labellings, the subgraphs of combined labellings and {IN, OUT, UN}
+assignments without a semantics are enumerated exhaustively: 2^n subsets or
 3^n assignments for n arguments.  Every enumeration is capped at
 MAX_ENUM_ARGUMENTS arguments and is deterministic: results are sorted by the
 label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
@@ -126,23 +129,46 @@ def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
     return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
+def _conflict_free_masks(att: Sequence[int], positions: Sequence[int]) -> List[int]:
+    """Every conflict-free subset of ``positions`` as a bitmask, by backtracking.
+
+    The positions are decided in the order given: each is first left out,
+    then put in unless that puts it IN with an attacker (itself included).
+    The subsets come out in that visiting order, which for ascending
+    ``positions`` is the order of the bit vectors over them.
+    """
+    out: List[int] = []
+
+    def search(k: int, chosen: int, hit: int) -> None:
+        # ``hit`` is the union of the chosen arguments' attackers
+        if k == len(positions):
+            out.append(chosen)
+            return
+        search(k + 1, chosen, hit)
+        i = positions[k]
+        bit = 1 << i
+        if not (att[i] & (chosen | bit) or hit & bit):
+            search(k + 1, chosen | bit, hit | att[i])
+
+    search(0, 0, 0)
+    return out
+
+
 def _complete_in_masks(att: Sequence[int], absent: int) -> List[int]:
     """IN-sets of complete labellings as bitmasks, ordered as the bit vectors over sorted ids.
 
     A complete labelling is determined by its IN-set: the OUT-set is exactly
     the set of arguments with an attacker in it, and the IN-set must be
     conflict-free and equal the set of arguments whose attackers are all OUT.
-    Every complete labelling extends the grounded one, so the search only
-    decides the grounded-UN arguments, in sorted order: each is first left
-    out, then put in unless that puts it IN with an attacker.  A leaf's
-    IN-set is grounded IN plus the chosen set S.  The condition holds on the
-    grounded IN and OUT arguments for every such S (grounded UN arguments
-    neither attack grounded IN ones nor are attacked by them), so it is
-    tested on the grounded-UN arguments only.  Absent arguments are grounded OUT.
+    Every complete labelling extends the grounded one, so only the conflict-free
+    subsets S of the grounded-UN arguments are tried.  A candidate IN-set is
+    grounded IN plus S.  The condition holds on the grounded IN and OUT
+    arguments for every such S (grounded UN arguments neither attack grounded
+    IN ones nor are attacked by them), so it is tested on the grounded-UN
+    arguments only.  Absent arguments are grounded OUT.
     """
     g_in, g_out = _grounded_masks(att, absent)
     undecided = _bits(((1 << len(att)) - 1) & ~(g_in | g_out))
-    out: List[int] = []
 
     def is_complete(chosen: int) -> bool:
         out_set = g_out
@@ -159,20 +185,7 @@ def _complete_in_masks(att: Sequence[int], absent: int) -> List[int]:
                 accepted |= 1 << i
         return accepted == chosen
 
-    def search(k: int, chosen: int, hit: int) -> None:
-        # ``hit`` is the union of the chosen arguments' attackers
-        if k == len(undecided):
-            if is_complete(chosen):
-                out.append(g_in | chosen)
-            return
-        search(k + 1, chosen, hit)
-        i = undecided[k]
-        bit = 1 << i
-        if not (att[i] & (chosen | bit) or hit & bit):
-            search(k + 1, chosen | bit, hit | att[i])
-
-    search(0, 0, 0)
-    return out
+    return [g_in | s for s in _conflict_free_masks(att, undecided) if is_complete(s)]
 
 
 def _maximal(sets: List[int]) -> List[int]:
@@ -201,13 +214,10 @@ def _in_set_labels(att: Sequence[int], s: int, absent: int) -> Labels:
 
 def _cf_labels(att: Sequence[int], absent: int) -> List[Labels]:
     """Conflict-free labellings: no IN argument has an IN attacker, and every
-    OUT argument has at least one IN attacker."""
-    present = _bits(((1 << len(att)) - 1) & ~absent)
+    OUT argument has at least one IN attacker.  Each conflict-free IN-set
+    leaves OUT or UN free on the arguments it attacks."""
     out: List[Labels] = []
-    for chosen in itertools.product((False, True), repeat=len(present)):
-        s = sum(1 << i for i, c in zip(present, chosen) if c)
-        if any(att[i] & s for i in _bits(s)):
-            continue
+    for s in _conflict_free_masks(att, _bits(((1 << len(att)) - 1) & ~absent)):
         choices = [
             (_OFF,) if absent >> i & 1
             else (_IN,) if s >> i & 1
