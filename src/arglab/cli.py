@@ -139,6 +139,8 @@ def _build_plf(args, theory) -> PLF:
     kind, colon, file_part = spec.partition(":")
     if not colon and spec != "independent":
         raise DistributionError(f"bad frame spec {spec!r}")
+    if colon and kind not in ("ptf", "pgf", "plf", "pef", "pag"):
+        raise DistributionError(f"unknown frame kind {kind!r}")
     if kind in ("plf", "pef"):
         given = {
             "--weights": args.weights,
@@ -176,11 +178,9 @@ def _build_plf(args, theory) -> PLF:
             return plf_from_pef(PEF(graph, parse_subset_distribution(text)))
         if kind == "pgf":
             pgf = PGF(graph, parse_subset_distribution(text))
-        elif kind == "pag":
+        else:  # pag
             pag = PAG(graph.without_sub_edges(), parse_argument_probabilities(text))
             pgf = pag_to_pgf(pag, max_args=max_args_enum)
-        else:
-            raise DistributionError(f"unknown frame kind {kind!r}")
     return plf_with_semantics(
         pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=max_args_enum
     )
@@ -306,6 +306,17 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 4
 
 
+def _cap(text: str) -> int:
+    """The value of a cap option: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid cap {text!r}: give an integer of at least 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arglab",
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("args", "graph", "label"):
         commands[name].add_argument(
             "--max-args",
-            type=int,
+            type=_cap,
             default=argparse.SUPPRESS,
             help="cap on constructed arguments",
         )
@@ -348,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         commands[name].add_argument("--legal-only", action="store_true")
         commands[name].add_argument(
             "--max-args-enum",
-            type=int,
+            type=_cap,
             default=argparse.SUPPRESS,
             help="cap on arguments in exhaustive labelling and subset enumeration "
             f"(default {_DEFAULTS['max_args_enum']})",

@@ -377,12 +377,13 @@ class SublabellingWeights:
     ) -> "SublabellingWeights":
         packed = []
         for assignment, w in entries:
+            key = tuple(sorted(assignment.items()))
+            shown = ", ".join(f"{a}={l.value}" for a, l in key)
+            _check_rational(w, f"weight entry {{{shown}}}")
             if w < 0:
                 raise DistributionError(f"negative weight {w}")
-            key = tuple(sorted(assignment.items()))
             for arg_id, label in key:
                 if label not in LabelSet.IN_OUT_UN.labels:
-                    shown = ", ".join(f"{a}={l.value}" for a, l in key)
                     raise DistributionError(
                         f"weight entry {{{shown}}} labels {arg_id} {label.value}, which never "
                         f"matches: weights choose among a subgraph's IN, OUT and UN labellings"

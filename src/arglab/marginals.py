@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Dict, FrozenSet, List, Mapping, Optional
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional
 
 from .core import (
     ArgLabel,
@@ -176,6 +177,14 @@ class PropertyReport:
         raise KeyError(name)
 
 
+def _result(
+    name: str, applicable: bool, violations: Iterable[str], mandatory: bool = True
+) -> PropertyResult:
+    """A property that holds unless ``violations`` yields one; read only when applicable."""
+    found = list(violations) if applicable else []
+    return PropertyResult(name, applicable, not found, mandatory, found)
+
+
 def check_properties(
     plf: PLF, theory: Optional[DefeasibleTheory] = None
 ) -> PropertyReport:
@@ -193,88 +202,45 @@ def check_properties(
     def p(arg_id: str, label: ArgLabel) -> Fraction:
         return argument_label_probability(plf, arg_id, label)
 
-    results: List[PropertyResult] = []
+    def certain(a: str) -> Fraction:
+        return p(a, ArgLabel.IN) + (p(a, ArgLabel.OFF) if has_off else ZERO)
 
-    # No IN probability mass on both ends of an attack.
-    coherence = PropertyResult("coherence", applicable=has_in, holds=True)
-    if has_in:
-        for b, a in sorted(graph.attacks):
-            if p(a, ArgLabel.IN) + p(b, ArgLabel.IN) > 1:
-                coherence.holds = False
-                coherence.violations.append(f"attack ({b}, {a})")
-    results.append(coherence)
+    def symmetric(phi: Literal, psi: Literal) -> bool:
+        if theory is None:
+            return psi == phi.complement()
+        return in_conflict(theory, phi, psi) and in_conflict(theory, psi, phi)
 
-    # Unattacked arguments are certain: IN, or IN-unless-absent.
-    founded_applicable = plf.spec.semantics in _COMPLETE_FAMILY
-    foundedness = PropertyResult("foundedness", applicable=founded_applicable, holds=True)
-    if founded_applicable:
-        for a in ids:
-            if graph.attackers[a]:
-                continue
-            certain = p(a, ArgLabel.IN)
-            if has_off:
-                certain += p(a, ArgLabel.OFF)
-            if certain != 1:
-                foundedness.holds = False
-                foundedness.violations.append(a)
-    results.append(foundedness)
+    def p_in(statement: Literal) -> Fraction:
+        return statement_label_probability(plf, statement, StatementLabel.IN)
 
-    # Being accepted is at most as likely as being present.
-    in_on = PropertyResult("in_implies_on", applicable=has_in and has_off, holds=True)
-    if in_on.applicable:
-        for a in ids:
-            if p(a, ArgLabel.IN) > 1 - p(a, ArgLabel.OFF):
-                in_on.holds = False
-                in_on.violations.append(a)
-    results.append(in_on)
-
-    # A present argument has all its subarguments present.
-    sub_mono = PropertyResult(
-        "subargument_on_monotone",
-        applicable=has_off and bool(graph.sub_edges),
-        holds=True,
-    )
-    if sub_mono.applicable:
-        for child, parent in sorted(graph.sub_edges):
-            if 1 - p(parent, ArgLabel.OFF) > 1 - p(child, ArgLabel.OFF):
-                sub_mono.holds = False
-                sub_mono.violations.append(f"sub edge ({child}, {parent})")
-    results.append(sub_mono)
-
-    # Statements in mutual conflict cannot both be accepted.
-    conflict_bounds = PropertyResult("conflicting_statements", applicable=has_in, holds=True)
-    if has_in:
-        conclusions = sorted(
-            {a.conclusion for a in graph.arguments.values()}, key=str
-        )
-        seen = set()
-        for phi in conclusions:
-            for psi in conclusions:
-                if (psi, phi) in seen or phi == psi:
-                    continue
-                symmetric = (
-                    theory is not None
-                    and in_conflict(theory, phi, psi)
-                    and in_conflict(theory, psi, phi)
-                ) or (theory is None and psi == phi.complement())
-                if not symmetric:
-                    continue
-                seen.add((phi, psi))
-                p_phi = statement_label_probability(plf, phi, StatementLabel.IN)
-                p_psi = statement_label_probability(plf, psi, StatementLabel.IN)
-                if p_phi + p_psi > 1:
-                    conflict_bounds.holds = False
-                    conflict_bounds.violations.append(f"({phi}, {psi})")
-    results.append(conflict_bounds)
-
-    # Diagnostic: lower bound on acceptance from attacker acceptance.
-    optimism = PropertyResult("optimism", applicable=has_in, holds=True, mandatory=False)
-    if has_in:
-        for a in ids:
-            bound = 1 - sum((p(b, ArgLabel.IN) for b in graph.attackers[a]), ZERO)
-            if p(a, ArgLabel.IN) < bound:
-                optimism.holds = False
-                optimism.violations.append(a)
-    results.append(optimism)
-
-    return PropertyReport(results)
+    conclusions = sorted({a.conclusion for a in graph.arguments.values()}, key=str)
+    return PropertyReport([
+        # No IN probability mass on both ends of an attack.
+        _result("coherence", has_in, (
+            f"attack ({b}, {a})" for b, a in sorted(graph.attacks)
+            if p(a, ArgLabel.IN) + p(b, ArgLabel.IN) > 1
+        )),
+        # Unattacked arguments are certain: IN, or IN-unless-absent.
+        _result("foundedness", plf.spec.semantics in _COMPLETE_FAMILY, (
+            a for a in ids if not graph.attackers[a] and certain(a) != 1
+        )),
+        # Being accepted is at most as likely as being present.
+        _result("in_implies_on", has_in and has_off, (
+            a for a in ids if p(a, ArgLabel.IN) > 1 - p(a, ArgLabel.OFF)
+        )),
+        # A present argument has all its subarguments present.
+        _result("subargument_on_monotone", has_off and bool(graph.sub_edges), (
+            f"sub edge ({child}, {parent})" for child, parent in sorted(graph.sub_edges)
+            if 1 - p(parent, ArgLabel.OFF) > 1 - p(child, ArgLabel.OFF)
+        )),
+        # Statements in mutual conflict cannot both be accepted.
+        _result("conflicting_statements", has_in, (
+            f"({phi}, {psi})" for phi, psi in itertools.combinations(conclusions, 2)
+            if symmetric(phi, psi) and p_in(phi) + p_in(psi) > 1
+        )),
+        # Diagnostic: lower bound on acceptance from attacker acceptance.
+        _result("optimism", has_in, (
+            a for a in ids
+            if p(a, ArgLabel.IN) < 1 - sum((p(b, ArgLabel.IN) for b in graph.attackers[a]), ZERO)
+        ), mandatory=False),
+    ])

@@ -269,6 +269,52 @@ def test_cap_exit_code(theory_file, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["args", "--max-args", "-3"],
+    ["graph", "--max-args", "-1"],
+    ["label", "--max-args-enum", "-1"],
+    ["marginal", "--max-args-enum", "-2"],
+    ["check", "--max-args-enum", "x"],
+])
+def test_negative_cap_is_a_usage_error(theory_file, capsys, argv):
+    command, flag, value = argv
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, theory_file, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid cap '{value}': give an integer of at least 0" in err
+
+
+@pytest.mark.parametrize("argv", [["args", "--max-args", "0"], ["label", "--max-args-enum", "0"]])
+def test_cap_of_zero_is_valid(theory_file, capsys, argv):
+    command, flag, value = argv
+    assert main([command, theory_file, flag, value]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize("command", ["marginal", "check"])
+@pytest.mark.parametrize("frame, message", [
+    ("xyz", "bad frame spec 'xyz'"),
+    ("pag", "bad frame spec 'pag'"),
+    ("xyz:nofile", "unknown frame kind 'xyz'"),
+    ("independent:nofile", "unknown frame kind 'independent'"),
+])
+def test_bad_frame_spec_exit_2(theory_file, capsys, command, frame, message):
+    """The frame is refused before any file it names is read."""
+    assert main([command, theory_file, "--frame", frame]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_unknown_frame_kind_is_refused_before_the_graph_is_built(theory_file, monkeypatch):
+    def build_graph(*args, **kwargs):
+        raise AssertionError("graph built for an unknown frame kind")
+
+    monkeypatch.setattr("arglab.cli.build_graph", build_graph)
+    args = build_parser().parse_args(["marginal", theory_file, "--frame", f"xyz:{theory_file}"])
+    with pytest.raises(DistributionError, match="unknown frame kind 'xyz'"):
+        _build_plf(args, None)
+
+
 # Three rules each blocked by the next: an odd NAF loop, which has no stable
 # labelling.
 ODD_NAF_LOOP = """\

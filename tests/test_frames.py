@@ -213,6 +213,14 @@ def test_weights_naming_an_unknown_argument_are_rejected(mutual_graph):
         plf_with_semantics(pgf, Semantics.PREFERRED, weights=weights)
 
 
+@pytest.mark.parametrize("weight", [0.25, "x"])
+def test_weight_that_is_not_rational_is_rejected_at_its_entry(weight):
+    with pytest.raises(DistributionError, match=(
+        r"probability .* for weight entry \{ra\(\)=IN, rb\(\)=OUT\} is not a Fraction or an int"
+    )):
+        SublabellingWeights.from_entries([({"rb()": ArgLabel.OUT, "ra()": ArgLabel.IN}, weight)])
+
+
 def test_plf_with_semantics_rejects_incomplete_subgraphs(chain_graph):
     pgf = PGF(chain_graph, {fs(C_BC): F(1)})
     with pytest.raises(DistributionError):

@@ -9,8 +9,8 @@ heap and the machine's speed at each moment.  The query pool is built by
 ``perfbench``'s own generators (this checkout's ``perfbench/run.py``,
 imported, not changed), with the hash seed pinned per workload seed as
 ``perfbench/run.py`` pins it.  Each query is sent to both checkouts back to
-back, the order alternating by query and round, and the two exit codes and
-stdouts must be identical, or the run stops with exit 1.
+back, the order alternating by query and round, and the two exit codes,
+stdouts and stderrs must be identical, or the run stops with exit 1.
 
 Per query, each side's minimum wall time over the rounds is kept; the report
 gives the quartiles of head/base over those minima and the throughput ratio
@@ -58,8 +58,8 @@ def load_cli(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def send(cli, argv: Tuple[str, ...]) -> Tuple[float, int, str]:
-    """Wall seconds, exit code and stdout of one query, as perfbench sends it."""
+def send(cli, argv: Tuple[str, ...]) -> Tuple[float, Tuple[int, str, str]]:
+    """Wall seconds, and exit code, stdout and stderr, of one query, as perfbench sends it."""
     out, err = io.StringIO(), io.StringIO()
     gc.collect()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -69,7 +69,7 @@ def send(cli, argv: Tuple[str, ...]) -> Tuple[float, int, str]:
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
         wall = time.perf_counter() - start
-    return wall, code, out.getvalue()
+    return wall, (code, out.getvalue(), err.getvalue())
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
@@ -100,10 +100,9 @@ def main() -> int:
                 order = ("base", "head") if (i + r) % 2 == 0 else ("head", "base")
                 answers = {}
                 for side in order:
-                    wall, code, text = send(sides[side], query.argv)
+                    wall, answers[side] = send(sides[side], query.argv)
                     walls[side][i].append(wall)
                     round_s[r][side] += wall
-                    answers[side] = (code, text)
                 if answers["base"] != answers["head"]:
                     sys.exit(f"error: item {i} {' '.join(query.argv)}: outputs differ")
     minima = {side: [min(w) for w in walls[side]] for side in sides}
