@@ -276,7 +276,7 @@ def test_cap_exit_code(theory_file, capsys):
     ["marginal", "--max-args-enum", "-2"],
     ["check", "--max-args-enum", "x"],
 ])
-def test_negative_cap_is_a_usage_error(theory_file, capsys, argv):
+def test_bad_cap_is_a_usage_error(theory_file, capsys, argv):
     command, flag, value = argv
     with pytest.raises(SystemExit) as exit_info:
         main([command, theory_file, flag, value])

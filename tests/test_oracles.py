@@ -529,7 +529,9 @@ def test_label_tuple_labelling_matches_pair_labelling(theory, policy, data):
         assert dense.with_label(label) == pairs.with_label(label)
 
 
-_SEARCHED = st.sampled_from([Semantics.CF, Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE])
+_SEARCHED = st.sampled_from(
+    [Semantics.CF, Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE]
+)
 
 
 def _searched(graph, semantics):
