@@ -34,6 +34,7 @@ from .frames import (
     PGF,
     PLF,
     PTF,
+    Distribution,
     SublabellingWeights,
     extension_probability,
     pag_to_pgf,

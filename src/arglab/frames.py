@@ -1,15 +1,16 @@
 """Probabilistic frames over theories, graphs and labellings.
 
-All frames carry sparse distributions with exact rational probabilities.
-Each frame's constructor takes its outcomes as a mapping or as (outcome,
-probability) pairs, merges duplicate outcomes, drops zeros, checks that the
-total is exactly 1 and stores the result read-only; every conversion below
-goes through those constructors.  Probabilities must be ``Fraction`` or
-``int``; a ``float`` is rejected.  Sums over outcomes (merging duplicates,
-the product distribution, the marginal tables) add plain ``int`` numerators
-over one common denominator and build a single ``Fraction`` per result.  A
-labelling frame's tables read its support column by column: every labelling
-lists its labels in ``graph.ids()`` order.
+A frame holds its distribution as a :class:`Distribution`: an ``int``
+numerator per outcome (``nums``) over one ``int`` denominator (``den``).  Its
+constructor alone merges outcomes, drops zeros and checks the total, for
+outside input and internal results alike; outside probabilities must be
+``Fraction`` or ``int`` (a ``float`` is rejected).  Every conversion below is a
+pushforward (:meth:`Distribution.map`), as are a labelling frame's marginal
+tables, read column by column (each labelling lists its labels in
+``graph.ids()`` order), and the statement and predicate queries of
+:mod:`arglab.marginals`.  Read as a ``Mapping``, a distribution yields
+``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
+``Fraction`` mappings: only a value that is read or emitted becomes one.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -22,20 +23,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
-    Collection,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
 )
@@ -70,73 +69,91 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _scaled(ps: Collection[Fraction]) -> Tuple[int, List[int]]:
-    """The probabilities as ``int`` numerators over one common denominator.
+class Distribution(Mapping):
+    """Read-only distribution: an ``int`` numerator per outcome over one denominator.
 
-    The denominator is the least common multiple of theirs, so a sum costs
-    one integer addition per term instead of a gcd-normalised ``Fraction``
-    addition.  Returns that denominator and the numerators, in order;
-    ``Fraction(n, den)`` is a probability or a sum of them.
+    ``Distribution(den, pairs)`` takes (outcome, numerator) pairs, merges
+    repeated outcomes, drops zeros and checks that the numerators sum to
+    ``den``.  Read as a mapping, an outcome's probability is
+    ``Fraction(nums[outcome], den)``, built when it is read.
     """
-    den = math.lcm(*(p.denominator for p in ps))
-    return den, [p.numerator * (den // p.denominator) for p in ps]
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, pairs: Iterable[Tuple[Hashable, int]]):
+        nums: Dict[Hashable, int] = {}
+        for outcome, n in pairs:
+            if n:
+                nums[outcome] = nums.get(outcome, 0) + n
+        total = sum(nums.values())
+        if total != den:
+            raise DistributionError(f"probabilities sum to {Fraction(total, den)}, expected 1")
+        self.den = den
+        self.nums: Mapping[Hashable, int] = MappingProxyType(nums)
+
+    def __getitem__(self, outcome) -> Fraction:
+        return Fraction(self.nums[outcome], self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __repr__(self) -> str:
+        return f"Distribution({dict(self.items())!r})"
+
+    def along(self, cells: Iterable[Hashable]) -> "Distribution":
+        """Pushforward onto ``cells``: the i-th outcome's mass goes to the i-th cell."""
+        return Distribution(self.den, zip(cells, self.nums.values()))
+
+    def map(self, f: Callable[[Hashable], Hashable]) -> "Distribution":
+        """Pushforward along ``f``: each outcome's mass goes to its image."""
+        return self.along(map(f, self.nums))
 
 
-def _cell_sums(cells: Iterable[Hashable], nums: Iterable[int]) -> Dict[Hashable, int]:
-    """Numerators summed per cell, the i-th numerator into the i-th cell; cells
-    in first-seen order."""
-    sums: Dict[Hashable, int] = {}
-    for cell, n in zip(cells, nums):
-        sums[cell] = sums.get(cell, 0) + n
-    return sums
-
-
-def _check_rational(p, what) -> None:
+def _check_rational(p, noun: str, what) -> None:
     if not isinstance(p, (Fraction, int)):
-        raise DistributionError(f"probability {p!r} for {what} is not a Fraction or an int")
+        raise DistributionError(f"{noun} {p!r} for {what} is not a Fraction or an int")
 
 
-def _normalise(entries) -> Mapping[object, Fraction]:
-    """Merge duplicate outcomes, drop zeros, and check the distribution axioms.
-
-    ``entries`` is a mapping or an iterable of (outcome, probability) pairs.
-    """
-    if isinstance(entries, Mapping):
-        entries = entries.items()
-    kept = []
+def _normalise(entries) -> Distribution:
+    """Outside input, a mapping or (outcome, probability) pairs, scaled to the
+    least common multiple of its denominators; a :class:`Distribution` is kept."""
+    if isinstance(entries, Distribution):
+        return entries
+    entries = list(entries.items() if isinstance(entries, Mapping) else entries)
     for key, p in entries:
-        _check_rational(p, key)
-        if p.numerator < 0:
+        _check_rational(p, "probability", key)
+        if p < 0:
             raise DistributionError(f"negative probability {p} for {key}")
-        if p.numerator:
-            kept.append((key, p))
-    den, nums = _scaled([p for _, p in kept])
-    sums = _cell_sums((key for key, _ in kept), nums)
-    total = sum(nums)
-    if total != den:
-        raise DistributionError(f"probabilities sum to {Fraction(total, den)}, expected 1")
-    return MappingProxyType({key: Fraction(n, den) for key, n in sums.items()})
+    den = math.lcm(*(p.denominator for _, p in entries))
+    return Distribution(den, ((key, p.numerator * (den // p.denominator)) for key, p in entries))
 
 
-def _check_subsets(probs: Mapping, known: Mapping[str, object], message: str) -> None:
-    for subset in probs:
-        if not subset <= known.keys():
-            raise DistributionError(message.format(sorted(subset)))
+class _Frame:
+    """The constructor every frame shares: ``probs`` becomes a
+    :class:`Distribution`, and each outcome must pass the frame's ``_check``."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", _normalise(self.probs))
+        for outcome in self.probs:
+            self._check(outcome)
 
 
 @dataclass(frozen=True)
-class PTF:
+class PTF(_Frame):
     """Probabilistic theory frame: distribution over rule subsets."""
 
     theory: DefeasibleTheory
     probs: Mapping[FrozenSet[str], Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _normalise(self.probs))
-        _check_subsets(self.probs, self.theory.rules, "subset {} mentions unknown rules")
+    def _check(self, subset: FrozenSet[str]) -> None:
+        if not subset <= self.theory.rules.keys():
+            raise DistributionError(f"subset {sorted(subset)} mentions unknown rules")
 
 
-def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fraction]]:
+def _product(items: Mapping[str, Fraction]) -> Distribution:
     """Subsets under independent inclusion, each item present with its probability.
 
     Only items with 0 < p < 1 are branched on: the others are in every subset
@@ -145,9 +162,8 @@ def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fr
     each item's numerator n, when present, or d - n, when absent.
     """
     certain = frozenset(i for i, p in items.items() if p == 1)
-    uncertain = sorted(i for i, p in items.items() if 0 < p < 1)
-    factors = [(i, items[i].numerator, items[i].denominator) for i in uncertain]
-    den = math.prod(d for _, _, d in factors)
+    factors = [(i, p.numerator, p.denominator) for i, p in sorted(items.items()) if 0 < p < 1]
+    pairs = []
     for bits in itertools.product((False, True), repeat=len(factors)):
         subset = set(certain)
         num = 1
@@ -157,11 +173,12 @@ def _product(items: Mapping[str, Fraction]) -> Iterator[Tuple[FrozenSet[str], Fr
                 num *= n
             else:
                 num *= d - n
-        yield frozenset(subset), Fraction(num, den)
+        pairs.append((frozenset(subset), num))
+    return Distribution(math.prod(d for _, _, d in factors), pairs)
 
 
 def _check_unit(p, what: str) -> None:
-    _check_rational(p, what)
+    _check_rational(p, "probability", what)
     if not 0 <= p <= 1:
         raise DistributionError(f"p({what}) = {p} outside [0, 1]")
 
@@ -184,93 +201,73 @@ def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RUL
 
 
 @dataclass(frozen=True)
-class PGF:
+class PGF(_Frame):
     """Probabilistic graph frame: distribution over argument-id subsets."""
 
     graph: ArgumentationGraph
     probs: Mapping[FrozenSet[str], Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _normalise(self.probs))
-        _check_subsets(self.probs, self.graph.arguments, "subset {} mentions unknown arguments")
+    def _check(self, subset: FrozenSet[str]) -> None:
+        if not subset <= self.graph.arguments.keys():
+            raise DistributionError(f"subset {sorted(subset)} mentions unknown arguments")
 
 
 @dataclass(frozen=True)
-class PLF:
+class PLF(_Frame):
     """Probabilistic labelling frame: distribution over labellings."""
 
     graph: ArgumentationGraph
     spec: LabellingSpec
     probs: Mapping[Labelling, Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _normalise(self.probs))
+    def _check(self, labelling: Labelling) -> None:
+        if labelling.label_set is not self.spec.label_set:
+            raise DistributionError("labelling outcome has the wrong label set")
         ids = self.graph.ids()
-        for labelling in self.probs:
-            if labelling.label_set is not self.spec.label_set:
-                raise DistributionError("labelling outcome has the wrong label set")
-            if labelling.ids is not ids and labelling.ids != ids:
-                raise DistributionError("labelling outcome is not total over the graph")
+        if labelling.ids is not ids and labelling.ids != ids:
+            raise DistributionError("labelling outcome is not total over the graph")
 
     def support(self) -> List[Labelling]:
         return sorted(self.probs, key=Labelling.sort_key)
 
     @cached_property
-    def marginals(self) -> Dict[str, Dict[ArgLabel, Fraction]]:
-        """Probability of each label per argument id; labels never carried are absent.
-
-        Every outcome's labels are aligned to ``graph.ids()``, so each
-        argument's row is summed down one column of the support.
-        """
-        den, nums = _scaled(self.probs.values())
-        columns = zip(*(labelling.labels for labelling in self.probs))
-        table: Dict[str, Dict[ArgLabel, Fraction]] = {a: {} for a in self.graph.arguments}
-        for arg_id, column in zip(self.graph.ids(), columns):
-            sums = _cell_sums(column, nums)
-            table[arg_id] = {label: Fraction(n, den) for label, n in sums.items()}
-        return table
+    def _columns(self) -> List[Tuple[ArgLabel, ...]]:
+        """The support's labels, one tuple per argument in ``graph.ids()`` order."""
+        return list(zip(*(labelling.labels for labelling in self.probs)))
 
     @cached_property
-    def conclusion_label_sets(self) -> Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]]:
-        """Per concluded statement, the probability of each set of labels that
+    def marginals(self) -> Dict[str, Distribution]:
+        """Distribution of each argument's label, keyed by argument id: the
+        support pushed forward onto the argument's column."""
+        return dict(zip(self.graph.ids(), map(self.probs.along, self._columns)))
+
+    @cached_property
+    def conclusion_label_sets(self) -> Dict[Literal, Distribution]:
+        """Per concluded statement, the distribution of the set of labels that
         the arguments concluding it carry together.
 
-        Statement labels depend on that set alone, so one pass over the support
-        serves every statement, label and scheme.  Each statement reads the
-        columns of its concluding arguments: the labels found there are summed
-        first, and merged into label sets once per distinct combination.
+        Statement labels depend on that set alone, so one table serves every
+        statement, label and scheme.  A statement's row pushes the support
+        forward onto the label tuples read across its concluding arguments'
+        columns, then onto the sets of those labels.
         """
         arguments = self.graph.arguments
-        table: Dict[Literal, Dict[FrozenSet[ArgLabel], Fraction]] = {
-            arg.conclusion: {} for arg in arguments.values()
-        }
-        columns: Dict[Literal, List[int]] = {}
-        for j, arg_id in enumerate(self.graph.ids()):
-            columns.setdefault(arguments[arg_id].conclusion, []).append(j)
-        den, nums = _scaled(self.probs.values())
-        rows = [labelling.labels for labelling in self.probs]
-        for c, cols in columns.items():
-            # one column reads a label, several a tuple of labels
-            pick = operator.itemgetter(*cols)
-            merged: Dict[FrozenSet[ArgLabel], int] = {}
-            for carried, n in _cell_sums(map(pick, rows), nums).items():
-                labels = frozenset(carried) if len(cols) > 1 else frozenset((carried,))
-                merged[labels] = merged.get(labels, 0) + n
-            table[c] = {labels: Fraction(n, den) for labels, n in merged.items()}
-        return table
+        columns: Dict[Literal, List[Tuple[ArgLabel, ...]]] = {}
+        for arg_id, column in zip(self.graph.ids(), self._columns):
+            columns.setdefault(arguments[arg_id].conclusion, []).append(column)
+        return {c: self.probs.along(zip(*cols)).map(frozenset) for c, cols in columns.items()}
 
 
 @dataclass(frozen=True)
-class PEF:
+class PEF(_Frame):
     """Probabilistic epistemic frame: distribution over believed argument sets."""
 
     graph: ArgumentationGraph
     probs: Mapping[FrozenSet[str], Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _normalise(self.probs))
-        message = "believed set {} mentions unknown arguments"
-        _check_subsets(self.probs, self.graph.arguments, message)
+    def _check(self, believed: FrozenSet[str]) -> None:
+        if not believed <= self.graph.arguments.keys():
+            raise DistributionError(f"believed set {sorted(believed)} mentions unknown arguments")
 
 
 @dataclass(frozen=True)
@@ -315,13 +312,12 @@ def pgf_from_ptf(
     """
     graph = build_graph(ptf.theory, policy=policy, max_args=max_args)
     used = [(a, arg.rules()) for a, arg in graph.arguments.items()]
-    sets = ((frozenset(a for a, rules in used if rules <= s), p) for s, p in ptf.probs.items())
-    return PGF(graph, sets)
+    return PGF(graph, ptf.probs.map(lambda s: frozenset(a for a, rules in used if rules <= s)))
 
 
 def _plf_from_sets(
     graph: ArgumentationGraph,
-    probs: Mapping[FrozenSet[str], Fraction],
+    probs: Distribution,
     label_set: LabelSet,
     member: ArgLabel,
     other: ArgLabel,
@@ -332,17 +328,15 @@ def _plf_from_sets(
         labels = (member if a in subset else other for a in graph.ids())
         return Labelling.over(graph, label_set, labels)
 
-    return PLF(graph, LabellingSpec(label_set), ((labelling(s), p) for s, p in probs.items()))
+    return PLF(graph, LabellingSpec(label_set), probs.map(labelling))
 
 
-def _sets_from_plf(
-    plf: PLF, label_set: LabelSet, member: ArgLabel, name: str
-) -> Iterator[Tuple[FrozenSet[str], Fraction]]:
+def _sets_from_plf(plf: PLF, label_set: LabelSet, member: ArgLabel, name: str) -> Distribution:
     """The ``member``-labelled set of each outcome; inverse of :func:`_plf_from_sets`."""
     if plf.spec.label_set is not label_set:
         labels = ", ".join(l.value for l in sorted(label_set.labels, key=lambda l: l.rank))
         raise DistributionError(f"{name} needs an {{{labels}}} labelling frame")
-    return ((l.with_label(member), p) for l, p in plf.probs.items())
+    return plf.probs.map(lambda l: l.with_label(member))
 
 
 def plf_from_pgf(pgf: PGF) -> PLF:
@@ -379,7 +373,7 @@ class SublabellingWeights:
         for assignment, w in entries:
             key = tuple(sorted(assignment.items()))
             shown = ", ".join(f"{a}={l.value}" for a, l in key)
-            _check_rational(w, f"weight entry {{{shown}}}")
+            _check_rational(w, "weight", f"entry {{{shown}}}")
             if w < 0:
                 raise DistributionError(f"negative weight {w}")
             for arg_id, label in key:
@@ -427,9 +421,12 @@ def plf_with_semantics(
 
     Every subgraph in the support contributes its semantics labellings,
     extended with OFF outside, split by the sublabelling weights (uniform by
-    default).  A subgraph with no labelling under the semantics (an odd
-    attack cycle has no stable one), or a weight entry naming an argument
-    outside the graph, raises DistributionError.
+    default).  A labelling's numerator is its subgraph's numerator times its
+    weight's, scaled to the least common multiple ``m`` of the weights'
+    denominators, over the subgraph distribution's denominator times ``m``.
+    A subgraph with no labelling under the semantics (an odd attack cycle has
+    no stable one), or a weight entry naming an argument outside the graph,
+    raises DistributionError.
     """
     weights = weights or SublabellingWeights()
     named = {a for assignment, _ in weights.entries for a, _ in assignment}
@@ -438,16 +435,21 @@ def plf_with_semantics(
         raise DistributionError(f"weights name unknown arguments {unknown}")
     admit = is_legal if legal_only else is_subargument_complete
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
-    entries = []
-    for subset, p in pgf.probs.items():
+    groups = []
+    for subset, n in pgf.probs.nums.items():
         if not admit(pgf.graph, subset):
             kind = "legal" if legal_only else "subargument-complete"
             raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
         inner = subgraph_labellings(pgf.graph, subset, semantics, max_args)
         if not inner:
             raise DistributionError(f"subgraph {sorted(subset)} has no {semantics.value} labelling")
-        entries += ((l, p * w) for l, w in zip(inner, weights.weights_for(inner)))
-    return PLF(pgf.graph, spec, entries)
+        groups.append((n, inner, weights.weights_for(inner)))
+    m = math.lcm(*(w.denominator for _, _, ws in groups for w in ws))
+    entries = (
+        (l, n * w.numerator * (m // w.denominator))
+        for n, inner, ws in groups for l, w in zip(inner, ws)
+    )
+    return PLF(pgf.graph, spec, Distribution(pgf.probs.den * m, entries))
 
 
 def pef_from_plf(plf: PLF) -> PEF:
@@ -478,12 +480,11 @@ def extension_probability(
     unknown = target - set(pag.graph.arguments)
     if unknown:
         raise KeyError(f"unknown argument ids: {sorted(unknown)}")
-    total = ZERO
-    pgf = pag_to_pgf(pag, max_args=max_args)
-    for subset, p in pgf.probs.items():
-        if target <= subset and any(
+
+    def extends(subset: FrozenSet[str]) -> bool:
+        return target <= subset and any(
             labelling.with_label(ArgLabel.IN) == target
             for labelling in subgraph_labellings(pag.graph, subset, semantics, max_args)
-        ):
-            total += p
-    return total
+        )
+
+    return pag_to_pgf(pag, max_args=max_args).probs.map(extends).get(True, ZERO)

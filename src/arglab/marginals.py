@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import Collection, FrozenSet, Iterable, List, Mapping, Optional
 
 from .core import (
     ArgLabel,
@@ -18,7 +18,7 @@ from .core import (
     Literal,
     in_conflict,
 )
-from .frames import ONE, PLF, ZERO
+from .frames import PLF, ZERO, Distribution
 from .semantics import Semantics
 
 _COMPLETE_FAMILY = {
@@ -38,12 +38,8 @@ def joint_probability(plf: PLF, assignment: Mapping[str, ArgLabel]) -> Fraction:
     for arg_id in assignment:
         if arg_id not in plf.graph.arguments:
             raise KeyError(arg_id)
-    total = ZERO
-    for labelling, p in plf.probs.items():
-        mapping = labelling.mapping
-        if all(mapping[a] is lab for a, lab in assignment.items()):
-            total += p
-    return total
+    holds = plf.probs.map(lambda l: all(l.label(a) is lab for a, lab in assignment.items()))
+    return holds.get(True, ZERO)
 
 
 class StatementLabel(Enum):
@@ -106,19 +102,16 @@ def statement_marginal(
     plf: PLF,
     statement: Literal,
     scheme: StatementScheme = StatementScheme.WORSTCASE,
-) -> Dict[StatementLabel, Fraction]:
+) -> Mapping[StatementLabel, Fraction]:
     """Probability of each label of the statement; labels never carried are absent.
 
-    Folds the frame's table of conclusion label sets
-    (:attr:`PLF.conclusion_label_sets`), built in one pass over the support,
-    so the cost per call does not grow with the support.
+    Pushes the frame's row of conclusion label sets forward onto statement
+    labels; the table (:attr:`PLF.conclusion_label_sets`) is built in one pass
+    over the support, so the cost per call does not grow with the support.
     """
-    row: Dict[StatementLabel, Fraction] = {}
     # an unproposed statement has no concluding argument: surely the empty label set
-    for labels, p in plf.conclusion_label_sets.get(statement, {frozenset(): ONE}).items():
-        key = _statement_label_of(labels, scheme)
-        row[key] = row.get(key, ZERO) + p
-    return row
+    sets = plf.conclusion_label_sets.get(statement, Distribution(1, [(frozenset(), 1)]))
+    return sets.map(lambda labels: _statement_label_of(labels, scheme))
 
 
 def statement_label_probability(

@@ -215,8 +215,9 @@ def test_weights_naming_an_unknown_argument_are_rejected(mutual_graph):
 
 @pytest.mark.parametrize("weight", [0.25, "x"])
 def test_weight_that_is_not_rational_is_rejected_at_its_entry(weight):
+    """The refusal names a weight, not a probability."""
     with pytest.raises(DistributionError, match=(
-        r"probability .* for weight entry \{ra\(\)=IN, rb\(\)=OUT\} is not a Fraction or an int"
+        r"^weight .* for entry \{ra\(\)=IN, rb\(\)=OUT\} is not a Fraction or an int$"
     )):
         SublabellingWeights.from_entries([({"rb()": ArgLabel.OUT, "ra()": ArgLabel.IN}, weight)])
 

@@ -12,9 +12,10 @@ the induced subgraph, built and validated as a graph of its own; labellings
 built through the sorting, checking ``Labelling.from_mapping``, and the
 tuple-of-pairs labelling the label tuple replaced; the argument and
 statement marginals that rescan the support on every call; and the
-distribution merge, and the marginal tables folded one labelling at a time
-through ``label()`` and ``statement_label``, that add one ``Fraction`` at a
-time.
+distribution merge, the conversions between frames, the labelling frame built
+from one ``Fraction`` product p·w per labelling, and the marginal tables
+folded one labelling at a time through ``label()`` and ``statement_label``,
+that add one ``Fraction`` at a time.
 Results must agree exactly, under both preference policies.
 """
 
@@ -23,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hypothesis import given, reject, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from arglab import (
@@ -31,6 +32,7 @@ from arglab import (
     PEF,
     PGF,
     PTF,
+    SublabellingWeights,
     ArgLabel,
     Argument,
     ArgumentationGraph,
@@ -56,6 +58,8 @@ from arglab import (
     labellings,
     lit,
     pag_to_pgf,
+    pef_from_plf,
+    pgf_from_plf,
     pgf_from_ptf,
     plf_from_pef,
     plf_from_pgf,
@@ -68,7 +72,7 @@ from arglab import (
 )
 from arglab import semantics as semantics_module
 from arglab.frames import _normalise
-from strategies import capped_graph, policies, probabilities, theories
+from strategies import capped_graph, distributions, policies, probabilities, theories
 
 F = Fraction
 
@@ -146,13 +150,19 @@ def restricted_to(theory, rule_ids):
     )
 
 
-def rebuilt_pushforward(ptf):
+def rebuilt_pushforward(probs, image):
+    """Each outcome's probability added to its ``image``, one Fraction at a time;
+    outcomes in first-seen order."""
+    out = {}
+    for outcome, p in probs.items():
+        key = image(outcome)
+        out[key] = out.get(key, F(0)) + p
+    return out
+
+
+def rebuilt_arguments(theory):
     """Each rule subset's subtheory builds its own arguments."""
-    probs = {}
-    for subset, p in ptf.probs.items():
-        key = frozenset(build_arguments(restricted_to(ptf.theory, subset)))
-        probs[key] = probs.get(key, F(0)) + p
-    return probs
+    return lambda subset: frozenset(build_arguments(restricted_to(theory, subset)))
 
 
 def full_product(items):
@@ -633,14 +643,47 @@ def test_pgf_from_ptf_matches_rebuilt_pushforward(theory, policy, data):
     ptf = PTF(theory, probs)
     pgf = pgf_from_ptf(ptf, policy=policy)
     assert pgf.graph == build_graph(theory, policy=policy)
-    assert dict(pgf.probs) == rebuilt_pushforward(ptf)
+    assert _typed(pgf.probs) == _typed(rebuilt_pushforward(ptf.probs, rebuilt_arguments(theory)))
+
+
+def _labelled(graph, label_set, member, other):
+    """The labelling marking a set's members ``member`` and the rest ``other``,
+    built through the checking constructor."""
+    return lambda s: Labelling.from_mapping(
+        label_set, {a: member if a in s else other for a in graph.ids()}
+    )
+
+
+@given(theories(max_rules=5), policies, st.data())
+@settings(max_examples=100, deadline=None)
+def test_conversions_match_fraction_pushforwards(theory, policy, data):
+    """The four conversions between PGF, PEF and PLF, on generated frames."""
+    graph = capped_graph(theory, policy, max_args=6, min_args=1)
+    ids = graph.ids()
+    subsets = distributions(st.frozensets(st.sampled_from(ids)), max_size=4)
+    on, off, in_, out = ArgLabel.ON, ArgLabel.OFF, ArgLabel.IN, ArgLabel.OUT
+    pgf = PGF(graph, data.draw(subsets))
+    plf = plf_from_pgf(pgf)
+    expect = rebuilt_pushforward(pgf.probs, _labelled(graph, LabelSet.ON_OFF, on, off))
+    assert _typed(plf.probs) == _typed(expect)
+    expect = rebuilt_pushforward(plf.probs, lambda l: l.with_label(on))
+    assert _typed(pgf_from_plf(plf).probs) == _typed(expect)
+    pef = PEF(graph, data.draw(subsets))
+    expect = rebuilt_pushforward(pef.probs, _labelled(graph, LabelSet.IN_OUT_UN, in_, out))
+    assert _typed(plf_from_pef(pef).probs) == _typed(expect)
+    # an epistemic frame over arbitrary {IN, OUT, UN} labellings: IN sets repeat
+    labels = st.tuples(*(st.sampled_from([in_, out, ArgLabel.UN]) for _ in ids))
+    beliefs = labels.map(lambda row: Labelling.over(graph, LabelSet.IN_OUT_UN, row))
+    epistemic = PLF(graph, LabellingSpec(LabelSet.IN_OUT_UN), data.draw(distributions(beliefs, 6)))
+    expect = rebuilt_pushforward(epistemic.probs, lambda l: l.with_label(in_))
+    assert _typed(pef_from_plf(epistemic).probs) == _typed(expect)
 
 
 @given(theories(max_rules=8))
 @settings(max_examples=150, deadline=None)
 def test_ptf_independent_matches_full_product(theory):
     items = {rid: theory.rule_probs.get(rid, F(1)) for rid in theory.rules}
-    assert dict(ptf_independent(theory).probs) == full_product(items)
+    assert _typed(ptf_independent(theory).probs) == _typed(full_product(items))
 
 
 @given(theories(), policies, st.data())
@@ -648,7 +691,7 @@ def test_ptf_independent_matches_full_product(theory):
 def test_pag_to_pgf_matches_full_product(theory, policy, data):
     graph = capped_graph(theory, policy, max_args=10).without_sub_edges()
     items = {a: data.draw(probabilities) for a in graph.ids()}
-    assert dict(pag_to_pgf(PAG(graph, items)).probs) == full_product(items)
+    assert _typed(pag_to_pgf(PAG(graph, items)).probs) == _typed(full_product(items))
 
 
 @given(theories(max_rules=5), policies, st.sampled_from([Semantics.GROUNDED, Semantics.PREFERRED]))
@@ -682,9 +725,14 @@ def _outcome(call):
         return "rejected", str(exc)
 
 
+def _typed(probs):
+    """A distribution as an ordered list, so equal ones also agree on order and type."""
+    return [(outcome, type(p), p) for outcome, p in probs.items()]
+
+
 def _rows(table):
     """Nested table as ordered lists, so equal tables also agree on order and type."""
-    return {k: [(cell, type(p), p) for cell, p in row.items()] for k, row in table.items()}
+    return {k: _typed(row) for k, row in table.items()}
 
 
 _weights = st.sampled_from(
@@ -744,3 +792,47 @@ def test_plf_tables_match_fraction_sums(theory, policy, semantics, data):
                 key = statement_label(labelling, graph, statement, scheme)
                 expect[key] = expect.get(key, F(0)) + p
             assert statement_marginal(plf, statement, scheme) == expect
+
+
+def fraction_products(pgf, semantics, weights):
+    """Each subgraph's probability p times each of its labellings' weights w, one
+    Fraction product p·w per labelling, merged one Fraction at a time."""
+    entries = []
+    for subset, p in pgf.probs.items():
+        inner = subgraph_labellings(pgf.graph, subset, semantics, 16)
+        entries += [(l, p * w) for l, w in zip(inner, weights.weights_for(inner))]
+    return fraction_normalise(entries)
+
+
+@st.composite
+def sublabelling_weights(draw, pgf, semantics):
+    """No entry at all, or entries for the labellings of one subgraph of the
+    support, over those subgraph's arguments.  Their weights have mixed
+    denominators and sum to 1, or are all zero, so that subgraph falls back to
+    the uniform split; a labelling left out weighs 0."""
+    if draw(st.booleans()):
+        return SublabellingWeights()
+    subset = draw(st.sampled_from(sorted(pgf.probs, key=sorted)))
+    inner = subgraph_labellings(pgf.graph, subset, semantics, 16)
+    chosen = draw(st.lists(st.sampled_from(inner), unique=True)) if inner else []
+    raw = [draw(probabilities) for _ in chosen]
+    total = sum(raw, F(0))
+    weights = [w / total for w in raw] if total else raw
+    return SublabellingWeights.from_entries(
+        ({a: l for a, l in labelling.entries if a in subset}, w)
+        for labelling, w in zip(chosen, weights)
+    )
+
+
+@given(abstract_graphs(max_args=5), st.sampled_from(list(Semantics)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_plf_with_semantics_matches_fraction_products(graph, semantics, data):
+    """Outcome for outcome, in order and typed ``Fraction``; or both refuse."""
+    pgf = PGF(graph, data.draw(distributions(st.frozensets(st.sampled_from(graph.ids())))))
+    weights = data.draw(sublabelling_weights(pgf, semantics))
+    got = _outcome(lambda: plf_with_semantics(pgf, semantics, weights))
+    expect = _outcome(lambda: fraction_products(pgf, semantics, weights))
+    event(f"{got[0]} with {'weights' if weights.entries else 'no weights'}")
+    assert got[0] == expect[0]
+    if got[0] == "accepted":
+        assert _typed(got[1].probs) == [(l, F, p) for l, p in expect[1].items()]
