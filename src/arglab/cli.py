@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .core import ArgumentationGraph, Labelling, LabelSet, Literal
+from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, Literal
 from .construct import PreferencePolicy, build_graph, to_dot
 from .dsl import (
     parse_argument_probabilities,
@@ -50,7 +50,13 @@ from .marginals import (
     justification_from_plf,
     statement_marginal,
 )
-from .semantics import MAX_ENUM_ARGUMENTS, LabellingSpec, Semantics, labellings
+from .semantics import (
+    MAX_ENUM_ARGUMENTS,
+    LabellingSpec,
+    Semantics,
+    labellings,
+    subgraph_labellings,
+)
 
 SCHEMA = 1
 
@@ -132,8 +138,10 @@ def _build_plf(args, theory) -> PLF:
     Rule-subset frames push the theory forward and build their own graph; the
     file-based frames over arguments load it here.  ``plf:`` and ``pef:``
     frames are labellings already: --semantics labels every other frame, and
-    --weights, --legal-only and --max-args-enum apply only there.  A ``plf:``
-    frame's spec carries --semantics, which is not checked against it.
+    --weights and --legal-only apply only there.  A ``plf:`` frame is
+    epistemic, with no semantics in its spec, unless --semantics is given:
+    then each of its labellings must be a labelling of its non-OFF arguments
+    under that semantics, enumerated under --max-args-enum.
     """
     spec = args.frame
     kind, colon, file_part = spec.partition(":")
@@ -141,11 +149,12 @@ def _build_plf(args, theory) -> PLF:
         raise DistributionError(f"bad frame spec {spec!r}")
     if colon and kind not in ("ptf", "pgf", "plf", "pef", "pag"):
         raise DistributionError(f"unknown frame kind {kind!r}")
+    checked = kind == "plf" and "semantics" in args
     if kind in ("plf", "pef"):
         given = {
             "--weights": args.weights,
             "--legal-only": args.legal_only,
-            "--max-args-enum": "max_args_enum" in args,
+            "--max-args-enum": "max_args_enum" in args and not checked,
             "--semantics": kind == "pef" and "semantics" in args,
         }
         for flag, value in given.items():
@@ -168,12 +177,14 @@ def _build_plf(args, theory) -> PLF:
             # the smallest label set holding every label used; a mix that none
             # holds fails in from_mapping on its first ON label
             label_set = next((s for s in LabelSet if used <= s.labels), LabelSet.IN_OUT_UN_OFF)
-            sem = semantics if label_set is not LabelSet.ON_OFF else None
-            return PLF(
+            plf = PLF(
                 graph,
-                LabellingSpec(label_set, semantics=sem),
+                LabellingSpec(label_set, semantics=semantics if checked else None),
                 [(Labelling.from_mapping(label_set, a), p) for a, p in entries],
             )
+            if checked:
+                _check_labellings(plf, semantics, max_args_enum)
+            return plf
         if kind == "pef":
             return plf_from_pef(PEF(graph, parse_subset_distribution(text)))
         if kind == "pgf":
@@ -184,6 +195,19 @@ def _build_plf(args, theory) -> PLF:
     return plf_with_semantics(
         pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=max_args_enum
     )
+
+
+def _check_labellings(plf: PLF, semantics: Semantics, max_args: int) -> None:
+    """Refuse the first labelling of the frame that is not a ``semantics``
+    labelling of its non-OFF arguments."""
+    for labelling in plf.probs:
+        present = [a for a, l in labelling.entries if l is not ArgLabel.OFF]
+        found = subgraph_labellings(plf.graph, present, semantics, max_args)
+        if labelling.labels not in {l.labels for l in found}:
+            raise DistributionError(
+                f"labelling {labelling} is not a {semantics.value} labelling "
+                f"of its non-OFF arguments"
+            )
 
 
 def cmd_args(args) -> int:

@@ -413,14 +413,43 @@ def test_options_a_labelled_frame_ignores_exit_2(theory_file, tmp_path, capsys, 
 
 @pytest.mark.parametrize("command", ["marginal", "check"])
 def test_report_semantics_is_the_frames(theory_file, tmp_path, capsys, command):
-    """A plf: frame carries --semantics in its spec; a pef: frame carries none."""
+    """A plf: frame carries the --semantics it was checked under, and none
+    without it; a pef: frame carries none."""
     plf = [command, theory_file, "--frame", _labelled_frame(tmp_path, "plf")]
     code, out = run(capsys, *plf, "--semantics", "preferred")
     assert code == 0 and json.loads(out)["semantics"] == "preferred"
+    code, out = run(capsys, *plf)
+    assert code == 0 and json.loads(out)["semantics"] is None
     code, out = run(capsys, command, theory_file, "--frame", _labelled_frame(tmp_path, "pef"))
     assert code == 0 and json.loads(out)["semantics"] is None
     code, out = run(capsys, command, theory_file)
     assert code == 0 and json.loads(out)["semantics"] == "grounded"
+
+
+@pytest.mark.parametrize("command", ["marginal", "check"])
+def test_plf_frame_is_checked_under_semantics(theory_file, tmp_path, capsys, command):
+    """Under --semantics every labelling must be one of its non-OFF arguments'
+    labellings: the first that is not exits 2, named; --max-args-enum caps the check."""
+    frame = tmp_path / "frame.plf"
+    frame.write_text(
+        "{rb1()=IN, rb2()=IN, rb(rb1(),rb2())=IN, rc()=OUT, rd()=IN} : 1/2.\n"
+        "{rb1()=IN, rb2()=OFF, rb(rb1(),rb2())=OFF, rc()=IN, rd()=OUT} : 1/2.\n"
+    )
+    argv = [command, theory_file, "--frame", f"plf:{frame}"]
+    assert main(argv + ["--semantics", "grounded"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: labelling {rb(rb1(),rb2())=OFF, rb1()=IN, rb2()=OFF, rc()=IN, "
+        "rd()=OUT} is not a grounded labelling of its non-OFF arguments\n"
+    )
+    code, out = run(capsys, *argv, "--semantics", "preferred")
+    assert code == 0 and json.loads(out)["semantics"] == "preferred"
+    assert main(argv + ["--semantics", "preferred", "--max-args-enum", "2"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: 5 arguments exceeds the enumeration cap of 2\n"
+    # an {ON, OFF} frame has no semantics labelling to be
+    frame.write_text("{rb1()=ON, rb2()=ON, rb(rb1(),rb2())=ON, rc()=ON, rd()=ON} : 1.\n")
+    assert run(capsys, *argv)[0] == 0
+    assert main(argv + ["--semantics", "complete"]) == 2
+    assert capsys.readouterr().err == "error: {ON,OFF} specs take a criterion, not a semantics\n"
 
 
 def test_weights_naming_an_unknown_argument_exit_2(theory_file, tmp_path, capsys):

@@ -88,6 +88,11 @@ def cases():
     for kind in ("ptf", "pgf", "plf", "pef"):
         out.append((f"running-check-{kind}",
                     ["check", "running.dl", "--frame", f"{kind}:running.{kind}"]))
+    # a plf: frame checked under --semantics: exit 2 under grounded, which
+    # labels rc() and rd() UN when rb2() is OFF; every labelling is complete
+    for semantics in ("grounded", "complete"):
+        out.append((f"running-check-plf-{semantics}",
+                    ["check", "running.dl", "--frame", "plf:running.plf", "--semantics", semantics]))
     for legal in ([], ["--legal-only"]):
         suffix = "-legal" if legal else ""
         out.append((f"legal-label-complete-inoutunoff{suffix}",
