@@ -10,7 +10,10 @@ heap and the machine's speed at each moment.  The query pool is built by
 imported, not changed), with the hash seed pinned per workload seed as
 ``perfbench/run.py`` pins it.  Each query is sent to both checkouts back to
 back, the order alternating by query and round, and the two exit codes,
-stdouts and stderrs must be identical, or the run stops with exit 1.
+stdouts and stderrs must be identical, or the run stops with exit 1 naming
+the item.  A side that raises answers exit code -1 with the exception's
+``repr`` on stderr, as ``perfbench/run.py`` records a crash, so a crash on
+one side is reported as a difference.
 
 Per query, each side's minimum wall time over the rounds is kept; the report
 gives the quartiles of head/base over those minima and the throughput ratio
@@ -68,6 +71,9 @@ def send(cli, argv: Tuple[str, ...]) -> Tuple[float, Tuple[int, str, str]]:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # a crash is an answer, compared like any other
+            code = -1
+            print(repr(exc), file=sys.stderr)
         wall = time.perf_counter() - start
     return wall, (code, out.getvalue(), err.getvalue())
 
