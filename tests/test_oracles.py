@@ -160,11 +160,6 @@ def rebuilt_pushforward(probs, image):
     return out
 
 
-def rebuilt_arguments(theory):
-    """Each rule subset's subtheory builds its own arguments."""
-    return lambda subset: frozenset(build_arguments(restricted_to(theory, subset)))
-
-
 def full_product(items):
     """Independent inclusion over every one of the 2^n subsets."""
     ids = sorted(items)
@@ -643,7 +638,11 @@ def test_pgf_from_ptf_matches_rebuilt_pushforward(theory, policy, data):
     ptf = PTF(theory, probs)
     pgf = pgf_from_ptf(ptf, policy=policy)
     assert pgf.graph == build_graph(theory, policy=policy)
-    assert _typed(pgf.probs) == _typed(rebuilt_pushforward(ptf.probs, rebuilt_arguments(theory)))
+    # each rule subset's subtheory builds its own arguments
+    expect = rebuilt_pushforward(
+        ptf.probs, lambda s: frozenset(build_arguments(restricted_to(theory, s)))
+    )
+    assert _typed(pgf.probs) == _typed(expect)
 
 
 def _labelled(graph, label_set, member, other):
