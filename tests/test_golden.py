@@ -11,7 +11,11 @@ with ``odd_loop.pag`` were written by ``perfbench/gen.py``
 derives ``b`` from either of two rules for ``a``, so a subgraph holding both
 of them but only one argument for ``b`` is subargument-complete and not
 legal; ``legal.pgf`` puts mass on such a subgraph.  ``wide.dl`` has 21
-uncertain rules, one more than the ``independent`` frame takes.  ``zero.dl``
+uncertain rules, one more than the ``independent`` frame takes.  ``twin.dl``
+has two graph components, a mutual attack and the shape of ``legal.dl``, on
+disjoint uncertain rules, with a statement ``c`` concluded in both;
+``twin.pag`` is a frame over its arguments, and ``twin.weights`` splits the
+mutual attack's labellings unevenly and gives the others weight 0.  ``zero.dl``
 and ``zero.ptf`` each hold a probability with a zero denominator, and
 ``duplicate.weights`` an assignment naming one argument twice.  The CLI runs
 inside that directory with relative paths, so the ``input`` and ``frame``
@@ -117,6 +121,21 @@ def cases():
     out.append(("running-marginal-duplicate-weights",
                 ["marginal", "running.dl", "--semantics", "preferred",
                  "--weights", "duplicate.weights"]))
+    # twin.dl: two graph components, each on its own uncertain rules
+    for semantics in ("cf", "complete", "grounded", "preferred", "stable"):
+        common = ["twin.dl", "--semantics", semantics]
+        out.append((f"twin-marginal-{semantics}", ["marginal", *common]))
+        out.append((f"twin-check-{semantics}", ["check", *common]))
+    out.append(("twin-marginal-preferred-weights",
+                ["marginal", "twin.dl", "--semantics", "preferred", "--weights", "twin.weights"]))
+    out.append(("twin-marginal-complete-legal",
+                ["marginal", "twin.dl", "--semantics", "complete", "--legal-only"]))
+    for semantics in ("grounded", "preferred"):
+        common = ["twin.dl", "--frame", "pag:twin.pag", "--semantics", semantics]
+        out.append((f"twin-pag-marginal-{semantics}", ["marginal", *common]))
+        out.append((f"twin-pag-check-{semantics}", ["check", *common]))
+    # exit 3: each component has at most 7 arguments, some subgraphs 8 or more
+    out.append(("twin-marginal-cap", ["marginal", "twin.dl", "--max-args-enum", "7"]))
     return out
 
 
