@@ -17,7 +17,7 @@ from dataclasses import asdict
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, Literal
 from .construct import PreferencePolicy, build_graph, to_dot
@@ -199,11 +199,15 @@ def _build_plf(args, theory) -> PLF:
 
 def _check_labellings(plf: PLF, semantics: Semantics, max_args: int) -> None:
     """Refuse the first labelling of the frame that is not a ``semantics``
-    labelling of its non-OFF arguments."""
+    labelling of its non-OFF arguments.  Labellings sharing their non-OFF
+    arguments share one enumeration of that subgraph's labellings."""
+    found: Dict[Tuple[str, ...], Set[Tuple[ArgLabel, ...]]] = {}
     for labelling in plf.probs:
-        present = [a for a, l in labelling.entries if l is not ArgLabel.OFF]
-        found = subgraph_labellings(plf.graph, present, semantics, max_args)
-        if labelling.labels not in {l.labels for l in found}:
+        present = tuple(a for a, l in labelling.entries if l is not ArgLabel.OFF)
+        if present not in found:
+            inner = subgraph_labellings(plf.graph, present, semantics, max_args)
+            found[present] = {l.labels for l in inner}
+        if labelling.labels not in found[present]:
             raise DistributionError(
                 f"labelling {labelling} is not a {semantics.value} labelling "
                 f"of its non-OFF arguments"

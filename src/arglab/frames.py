@@ -12,6 +12,15 @@ tables, read column by column (each labelling lists its labels in
 ``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
+A labelling frame built by :func:`plf_with_semantics` is a product of
+factors, one per connected component of the graph's attacks and sub-edges,
+when the subgraph distribution is exactly the product of its pushforwards
+onto the components and no sublabelling weight is given; otherwise it is one
+factor, the whole graph.  Its tables are read per factor: an argument's row
+from its own factor, a statement's from the product of the factors holding
+its concluding arguments only.  Its ``probs``, the full product, is built
+only when read.
+
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
 * PLF: distribution over labellings admitted by a labelling spec.
@@ -213,12 +222,72 @@ class PGF(_Frame):
 
 
 @dataclass(frozen=True)
-class PLF(_Frame):
-    """Probabilistic labelling frame: distribution over labellings."""
+class _Factors:
+    """A labelling distribution as a product of independent factors.
 
-    graph: ArgumentationGraph
-    spec: LabellingSpec
-    probs: Mapping[Labelling, Fraction]
+    Factor i is a distribution, ``dists[i]``, over label tuples at
+    ``positions[i]``, ascending positions in ``graph.ids()``.  A factor of
+    :func:`plf_with_semantics` also lists, in ``rows[i]``, the tuples of each
+    part of a support subgraph inside its component, and ``parts`` gives each
+    support subgraph's parts, in the subgraph distribution's order.  So a
+    product of factors can be listed in the order of the whole frame:
+    subgraph by subgraph, sorted within.  A factor read off whole labellings
+    has no rows: it is never multiplied.
+    """
+
+    positions: Tuple[Tuple[int, ...], ...]
+    dists: Tuple[Distribution, ...]
+    rows: Tuple[Mapping[FrozenSet[str], List[Tuple[ArgLabel, ...]]], ...] = ()
+    parts: List[Tuple[FrozenSet[str], ...]] = ()
+
+    def joint(self, factors: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Distribution]:
+        """The product of the given factors: its positions, ascending, and its
+        distribution over label tuples at them."""
+        if len(factors) == 1:
+            return self.positions[factors[0]], self.dists[factors[0]]
+        joined = [j for i in factors for j in self.positions[i]]
+        order = sorted(range(len(joined)), key=joined.__getitem__)
+        pairs: List[Tuple[Tuple[ArgLabel, ...], int]] = []
+        seen = set()
+        for part in self.parts:
+            key = tuple(part[i] for i in factors)
+            if key in seen:
+                continue
+            seen.add(key)
+            block = []
+            for combo in itertools.product(*(self.rows[i][r] for i, r in zip(factors, key))):
+                labels = [label for t in combo for label in t]
+                num = math.prod(self.dists[i].nums[t] for i, t in zip(factors, combo))
+                block.append((tuple(labels[k] for k in order), num))
+            block.sort(key=lambda pair: [label.rank for label in pair[0]])
+            pairs += block
+        den = math.prod(self.dists[i].den for i in factors)
+        return tuple(joined[k] for k in order), Distribution(den, pairs)
+
+
+class PLF(_Frame):
+    """Probabilistic labelling frame: distribution over labellings.
+
+    ``PLF(graph, spec, probs)`` checks ``probs`` and reads its tables off it,
+    as one factor over the whole graph.  :func:`plf_with_semantics` builds a
+    frame from independent factors instead: its tables are read factor by
+    factor, and ``probs``, their product, is built when first read.
+    """
+
+    def __init__(self, graph: ArgumentationGraph, spec: LabellingSpec,
+                 probs: Mapping[Labelling, Fraction]):
+        self.graph = graph
+        self.spec = spec
+        self.probs = probs
+        self.__post_init__()
+
+    @classmethod
+    def _of_factors(
+        cls, graph: ArgumentationGraph, spec: LabellingSpec, factors: _Factors
+    ) -> "PLF":
+        plf = cls.__new__(cls)
+        plf.graph, plf.spec, plf._factors = graph, spec, factors
+        return plf
 
     def _check(self, labelling: Labelling) -> None:
         if labelling.label_set is not self.spec.label_set:
@@ -227,19 +296,30 @@ class PLF(_Frame):
         if labelling.ids is not ids and labelling.ids != ids:
             raise DistributionError("labelling outcome is not total over the graph")
 
+    @cached_property
+    def probs(self) -> Distribution:
+        """The product of the factors, each outcome a labelling."""
+        label_set, ids = self.spec.label_set, self.graph.ids()
+        _, joint = self._factors.joint(tuple(range(len(self._factors.dists))))
+        return joint.map(lambda labels: Labelling(label_set, ids, labels))
+
+    @cached_property
+    def _factors(self) -> _Factors:
+        """``probs`` as one factor over every argument."""
+        every = tuple(range(len(self.graph.ids())))
+        return _Factors((every,), (self.probs.map(lambda l: l.labels),))
+
     def support(self) -> List[Labelling]:
         return sorted(self.probs, key=Labelling.sort_key)
 
     @cached_property
-    def _columns(self) -> List[Tuple[ArgLabel, ...]]:
-        """The support's labels, one tuple per argument in ``graph.ids()`` order."""
-        return list(zip(*(labelling.labels for labelling in self.probs)))
-
-    @cached_property
     def marginals(self) -> Dict[str, Distribution]:
-        """Distribution of each argument's label, keyed by argument id: the
-        support pushed forward onto the argument's column."""
-        return dict(zip(self.graph.ids(), map(self.probs.along, self._columns)))
+        """Distribution of each argument's label, keyed by argument id: its
+        factor pushed forward onto the argument's column."""
+        rows: Dict[int, Distribution] = {}
+        for positions, dist in zip(self._factors.positions, self._factors.dists):
+            rows.update(zip(positions, map(dist.along, zip(*dist.nums))))
+        return {a: rows[j] for j, a in enumerate(self.graph.ids())}
 
     @cached_property
     def conclusion_label_sets(self) -> Dict[Literal, Distribution]:
@@ -247,15 +327,26 @@ class PLF(_Frame):
         the arguments concluding it carry together.
 
         Statement labels depend on that set alone, so one table serves every
-        statement, label and scheme.  A statement's row pushes the support
-        forward onto the label tuples read across its concluding arguments'
-        columns, then onto the sets of those labels.
+        statement, label and scheme.  A statement's row multiplies only the
+        factors holding its concluding arguments, and pushes their product
+        forward onto the sets of those arguments' labels.
         """
+        factors = self._factors
+        owner = {j: i for i, positions in enumerate(factors.positions) for j in positions}
         arguments = self.graph.arguments
-        columns: Dict[Literal, List[Tuple[ArgLabel, ...]]] = {}
-        for arg_id, column in zip(self.graph.ids(), self._columns):
-            columns.setdefault(arguments[arg_id].conclusion, []).append(column)
-        return {c: self.probs.along(zip(*cols)).map(frozenset) for c, cols in columns.items()}
+        concluding: Dict[Literal, List[int]] = {}
+        for j, arg_id in enumerate(self.graph.ids()):
+            concluding.setdefault(arguments[arg_id].conclusion, []).append(j)
+        joints: Dict[Tuple[int, ...], Tuple[Distribution, Dict[int, Tuple[ArgLabel, ...]]]] = {}
+        table = {}
+        for c, js in concluding.items():
+            held = tuple(sorted({owner[j] for j in js}))
+            if held not in joints:
+                positions, joint = factors.joint(held)
+                joints[held] = joint, dict(zip(positions, zip(*joint.nums)))
+            joint, columns = joints[held]
+            table[c] = joint.along(zip(*(columns[j] for j in js))).map(frozenset)
+        return table
 
 
 @dataclass(frozen=True)
@@ -410,6 +501,60 @@ class SublabellingWeights:
         return weights
 
 
+def _components(graph: ArgumentationGraph) -> List[Tuple[int, ...]]:
+    """Positions in ``graph.ids()`` of each connected component of the attacks
+    and sub-edges, ascending, the components ordered by their first position.
+
+    Union-find on bitmasks: each argument with its attackers
+    (``graph.attacker_masks``), and each sub-edge's two ends, is merged with
+    every component found so far that it meets.
+    """
+    ids = graph.ids()
+    bit = {a: 1 << j for j, a in enumerate(ids)}
+    links = [mask | 1 << j for j, mask in enumerate(graph.attacker_masks)]
+    links += [bit[b] | bit[a] for b, a in graph.sub_edges]
+    found: List[int] = []
+    for link in links:
+        rest = []
+        for component in found:
+            if component & link:
+                link |= component
+            else:
+                rest.append(component)
+        found = rest + [link]
+    found.sort(key=lambda component: component & -component)
+    return [tuple(j for j in range(len(ids)) if component >> j & 1) for component in found]
+
+
+def _split(
+    pgf: PGF, components: List[Tuple[int, ...]]
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[FrozenSet[str], ...]], List[Distribution]]:
+    """The components to factor over, each support subgraph's parts inside
+    them, and the subgraph distribution pushed forward onto each.
+
+    The components are kept only when ``pgf.probs`` is exactly the product of
+    those pushforwards: as many subgraphs as the pushforwards' supports
+    multiply to, and each numerator times the pushforwards' denominators equal
+    to the denominator times the numerators of the subgraph's parts.
+    Otherwise there is one component, the whole graph, and one part per
+    subgraph, itself.
+    """
+    probs = pgf.probs
+    if len(components) > 1:
+        ids = pgf.graph.ids()
+        sets = [frozenset(ids[j] for j in positions) for positions in components]
+        parts = [tuple(s & c for c in sets) for s in probs.nums]
+        margins = [probs.along(part[i] for part in parts) for i in range(len(sets))]
+        dens = probs.den ** len(margins)
+        if len(probs) == math.prod(map(len, margins)) and all(
+            n * dens == probs.den * math.prod(m.nums[r] for m, r in zip(margins, part))
+            for n, part in zip(probs.nums.values(), parts)
+        ):
+            return components, parts, margins
+    every = tuple(range(len(pgf.graph.ids())))
+    return [every], [(s,) for s in probs.nums], [probs]
+
+
 def plf_with_semantics(
     pgf: PGF,
     semantics: Semantics,
@@ -427,29 +572,56 @@ def plf_with_semantics(
     A subgraph with no labelling under the semantics (an odd attack cycle has
     no stable one), or a weight entry naming an argument outside the graph,
     raises DistributionError.
+
+    The frame is a product of factors, one per connected component of the
+    attacks and sub-edges, when the subgraph distribution is the product of
+    its pushforwards onto the components and no weight entry is given
+    (weights are summed per whole labelling).  Otherwise it is one factor,
+    the whole graph.  A factor labels each distinct part of a support
+    subgraph inside its component once, and splits uniformly among its
+    labellings.  No labels cross a component, so the product is the frame
+    above.  The admissibility test and the enumeration cap still apply to
+    each whole support subgraph, in the distribution's order, and the
+    subgraph named for having no labelling is the first with a part that has
+    none.
     """
     weights = weights or SublabellingWeights()
+    graph = pgf.graph
     named = {a for assignment, _ in weights.entries for a, _ in assignment}
-    unknown = sorted(named - pgf.graph.arguments.keys())
+    unknown = sorted(named - graph.arguments.keys())
     if unknown:
         raise DistributionError(f"weights name unknown arguments {unknown}")
     admit = is_legal if legal_only else is_subargument_complete
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
-    groups = []
-    for subset, n in pgf.probs.nums.items():
-        if not admit(pgf.graph, subset):
+    components, parts, margins = _split(pgf, [] if weights.entries else _components(graph))
+    # per component, each distinct part's label tuples inside it and their weights
+    labelled: List[Dict[FrozenSet[str], Tuple[List[Tuple[ArgLabel, ...]], List[Fraction]]]] = [
+        {} for _ in components
+    ]
+    for subset, part in zip(pgf.probs.nums, parts):
+        if not admit(graph, subset):
             kind = "legal" if legal_only else "subargument-complete"
             raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
-        inner = subgraph_labellings(pgf.graph, subset, semantics, max_args)
-        if not inner:
-            raise DistributionError(f"subgraph {sorted(subset)} has no {semantics.value} labelling")
-        groups.append((n, inner, weights.weights_for(inner)))
-    m = math.lcm(*(w.denominator for _, _, ws in groups for w in ws))
-    entries = (
-        (l, n * w.numerator * (m // w.denominator))
-        for n, inner, ws in groups for l, w in zip(inner, ws)
-    )
-    return PLF(pgf.graph, spec, Distribution(pgf.probs.den * m, entries))
+        check_cap(len(subset), max_args)
+        for positions, seen, r in zip(components, labelled, part):
+            if r not in seen:
+                inner = subgraph_labellings(graph, r, semantics, max_args)
+                cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
+                seen[r] = cut, weights.weights_for(inner)
+            if not seen[r][0]:
+                raise DistributionError(
+                    f"subgraph {sorted(subset)} has no {semantics.value} labelling"
+                )
+    dists = []
+    for margin, seen in zip(margins, labelled):
+        m = math.lcm(*(w.denominator for _, ws in seen.values() for w in ws))
+        dists.append(Distribution(margin.den * m, (
+            (t, margin.nums[r] * w.numerator * (m // w.denominator))
+            for r, (cut, ws) in seen.items() for t, w in zip(cut, ws)
+        )))
+    rows = tuple({r: cut for r, (cut, _) in seen.items()} for seen in labelled)
+    factors = _Factors(tuple(components), tuple(dists), rows, parts)
+    return PLF._of_factors(graph, spec, factors)
 
 
 def pef_from_plf(plf: PLF) -> PEF:

@@ -18,14 +18,51 @@ probabilities = st.sampled_from(
 policies = st.sampled_from(list(PreferencePolicy))
 
 
+def _renamed(theory):
+    """The theory with every rule id ``r…`` renamed ``s…`` and every atom ``x``
+    renamed ``x2``, so that it shares no rule and no literal with a theory
+    drawn by :func:`theories`."""
+
+    def lit2(l):
+        return Literal(l.atom + "2", l.negated)
+
+    def rid2(rid):
+        return "s" + rid[1:]
+
+    rules = {
+        rid2(rid): Rule(rid2(rid), tuple(map(lit2, r.body_plain)),
+                        frozenset(map(lit2, r.body_naf)), lit2(r.head))
+        for rid, r in theory.rules.items()
+    }
+    return DefeasibleTheory(
+        rules,
+        frozenset((lit2(a), lit2(b)) for a, b in theory.conflicts),
+        frozenset((rid2(a), rid2(b)) for a, b in theory.superiority),
+        {rid2(rid): p for rid, p in theory.rule_probs.items()},
+    )
+
+
 @st.composite
-def theories(draw, max_rules=6, nested=False):
+def theories(draw, max_rules=6, nested=False, union=False):
     """Theories with at least one rule and every rule probability in [0, 1].
 
     With ``nested``, the first two rules have no plain premise and the last
     has their heads as its plain premises, so the graph always holds a nested
-    argument id with two subarguments, such as ``r3(r0(),r1())``.
+    argument id with two subarguments, such as ``r3(r0(),r1())``.  With
+    ``union``, the theory is the disjoint union of two such theories, the
+    second renamed apart: no attack, subargument or rule links their
+    arguments, so its graph has at least two components whenever both halves
+    have arguments.
     """
+    if union:
+        first = draw(theories(max_rules, nested))
+        second = _renamed(draw(theories(max_rules, nested)))
+        return DefeasibleTheory(
+            {**first.rules, **second.rules},
+            first.conflicts | second.conflicts,
+            first.superiority | second.superiority,
+            {**first.rule_probs, **second.rule_probs},
+        )
     n = draw(st.integers(min_value=3 if nested else 1, max_value=max_rules))
     rules = {}
     for i in range(n):

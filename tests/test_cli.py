@@ -452,6 +452,38 @@ def test_plf_frame_is_checked_under_semantics(theory_file, tmp_path, capsys, com
     assert capsys.readouterr().err == "error: {ON,OFF} specs take a criterion, not a semantics\n"
 
 
+def test_plf_frame_labels_each_subgraph_once(mutual_file, tmp_path, capsys, monkeypatch):
+    """Labellings with the same non-OFF arguments share one enumeration of
+    that subgraph's labellings; the first refused labelling is still named."""
+    frame = tmp_path / "frame.plf"
+    frame.write_text(
+        "{rb()=IN, rc()=OUT} : 1/4.\n"
+        "{rb()=OUT, rc()=IN} : 1/4.\n"
+        "{rb()=IN, rc()=OFF} : 1/4.\n"
+        "{rb()=UN, rc()=UN} : 1/4.\n"
+    )
+    import arglab.cli
+
+    calls = []
+    real = arglab.cli.subgraph_labellings
+
+    def counted(graph, subset, semantics, max_args):
+        calls.append(tuple(subset))
+        return real(graph, subset, semantics, max_args)
+
+    monkeypatch.setattr(arglab.cli, "subgraph_labellings", counted)
+    argv = ["marginal", mutual_file, "--frame", f"plf:{frame}"]
+    assert run(capsys, *argv, "--semantics", "complete")[0] == 0
+    assert calls == [("rb()", "rc()"), ("rb()",)]
+    calls.clear()
+    assert main(argv + ["--semantics", "preferred"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: labelling {rb()=UN, rc()=UN} is not a preferred labelling "
+        "of its non-OFF arguments\n"
+    )
+    assert calls == [("rb()", "rc()"), ("rb()",)]
+
+
 def test_weights_naming_an_unknown_argument_exit_2(theory_file, tmp_path, capsys):
     wfile = tmp_path / "weights.dl"
     wfile.write_text("{zz()=IN} : 1.\n")

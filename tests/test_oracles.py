@@ -15,11 +15,14 @@ statement marginals that rescan the support on every call; and the
 distribution merge, the conversions between frames, the labelling frame built
 from one ``Fraction`` product p·w per labelling, and the marginal tables
 folded one labelling at a time through ``label()`` and ``statement_label``,
-that add one ``Fraction`` at a time.
+that add one ``Fraction`` at a time; and the labelling frame that labels
+every subgraph of the support whole and sums over them all, which the frame
+factored over the graph's components replaced.
 Results must agree exactly, under both preference policies.
 """
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +39,9 @@ from arglab import (
     ArgLabel,
     Argument,
     ArgumentationGraph,
+    CapExceededError,
     DefeasibleTheory,
+    Distribution,
     DistributionError,
     Labelling,
     LabellingSpec,
@@ -54,6 +59,7 @@ from arglab import (
     derive_attacks,
     grounded_labelling,
     induced_subgraph,
+    is_legal,
     is_subargument_complete,
     labellings,
     lit,
@@ -415,6 +421,66 @@ def fraction_conclusion_label_sets(plf):
             key = frozenset(labelling.label(a) for a in ids)
             row[key] = row.get(key, F(0)) + p
     return table
+
+
+def full_plf_with_semantics(pgf, semantics, weights=None, legal_only=False, max_args=16):
+    """The labelling frame before it was factored over the graph's
+    components: every subgraph of the support labelled whole, and the frame
+    summed over all of their labellings."""
+    weights = weights or SublabellingWeights()
+    named = {a for assignment, _ in weights.entries for a, _ in assignment}
+    unknown = sorted(named - pgf.graph.arguments.keys())
+    if unknown:
+        raise DistributionError(f"weights name unknown arguments {unknown}")
+    admit = is_legal if legal_only else is_subargument_complete
+    spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
+    groups = []
+    for subset, n in pgf.probs.nums.items():
+        if not admit(pgf.graph, subset):
+            kind = "legal" if legal_only else "subargument-complete"
+            raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
+        inner = subgraph_labellings(pgf.graph, subset, semantics, max_args)
+        if not inner:
+            raise DistributionError(f"subgraph {sorted(subset)} has no {semantics.value} labelling")
+        groups.append((n, inner, weights.weights_for(inner)))
+    m = math.lcm(*(w.denominator for _, _, ws in groups for w in ws))
+    entries = (
+        (l, n * w.numerator * (m // w.denominator))
+        for n, inner, ws in groups for l, w in zip(inner, ws)
+    )
+    return PLF(pgf.graph, spec, Distribution(pgf.probs.den * m, entries))
+
+
+def graph_components(graph):
+    """The connected components of the attacks and sub-edges, as id sets, by a
+    search from each argument not yet reached, in id order."""
+    links = {a: set() for a in graph.arguments}
+    for x, y in graph.attacks | graph.sub_edges:
+        links[x].add(y)
+        links[y].add(x)
+    reached, out = set(), []
+    for start in graph.ids():
+        if start in reached:
+            continue
+        component, stack = set(), [start]
+        while stack:
+            a = stack.pop()
+            if a not in component:
+                component.add(a)
+                stack.extend(links[a])
+        reached |= component
+        out.append(frozenset(component))
+    return out
+
+
+def is_product(probs, blocks):
+    """Whether every combination of parts inside the blocks has the product of
+    the parts' probabilities, read one ``Fraction`` at a time."""
+    margins = [rebuilt_pushforward(probs, lambda s, b=b: s & b) for b in blocks]
+    return all(
+        probs.get(frozenset().union(*parts), F(0)) == math.prod(m[p] for m, p in zip(margins, parts))
+        for parts in itertools.product(*margins)
+    )
 
 
 # --- comparisons -------------------------------------------------------------
@@ -835,3 +901,118 @@ def test_plf_with_semantics_matches_fraction_products(graph, semantics, data):
     assert got[0] == expect[0]
     if got[0] == "accepted":
         assert _typed(got[1].probs) == [(l, F, p) for l, p in expect[1].items()]
+
+
+def _frame_or_error(call):
+    try:
+        return call()
+    except (DistributionError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_frame(got, expect):
+    """Both refuse alike, or the frames agree: the tables row for row against
+    folds of the reference's support, then ``probs`` outcome for outcome, in
+    order, and the support order."""
+    assert type(got) is type(expect)
+    if not isinstance(expect, PLF):
+        assert got == expect
+        return
+    assert _rows(got.marginals) == _rows(fraction_marginals(expect))
+    assert _rows(got.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(expect))
+    assert _typed(got.probs) == _typed(expect.probs)
+    assert got.support() == expect.support()
+
+
+def _factor_sets(plf):
+    ids = plf.graph.ids()
+    return [frozenset(ids[j] for j in positions) for positions in plf._factors.positions]
+
+
+@given(theories(max_rules=3, union=True), policies, st.sampled_from(list(Semantics)),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_factored_frame_matches_full_product(theory, policy, semantics, legal_only, data):
+    """``independent`` and ``pag:`` frames over two theories side by side, with
+    weights that sometimes apply and a cap that sometimes stops a subgraph."""
+    graph = capped_graph(theory, policy, max_args=8)
+    if data.draw(st.booleans()):
+        pgf = pgf_from_ptf(ptf_independent(theory), policy=policy)
+    else:
+        graph = graph.without_sub_edges()
+        pgf = pag_to_pgf(PAG(graph, {a: data.draw(probabilities) for a in graph.ids()}))
+    weights = data.draw(sublabelling_weights(pgf, semantics))
+    max_args = data.draw(st.sampled_from([2, 4, 16]))
+    got = _frame_or_error(lambda: plf_with_semantics(pgf, semantics, weights, legal_only, max_args))
+    expect = _frame_or_error(
+        lambda: full_plf_with_semantics(pgf, semantics, weights, legal_only, max_args)
+    )
+    _assert_same_frame(got, expect)
+    if isinstance(got, PLF):
+        blocks = graph_components(graph)
+        factored = len(blocks) > 1 and not weights.entries and is_product(pgf.probs, blocks)
+        event(f"{len(blocks) if factored else 1} factors")
+        assert _factor_sets(got) == (blocks if factored else [frozenset(graph.ids())])
+    else:
+        event(got[0].__name__)
+
+
+@given(theories(max_rules=3, union=True), policies, st.sampled_from(list(Semantics)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frame_over_a_drawn_distribution_factors_only_when_it_is_a_product(
+    theory, policy, semantics, data
+):
+    """A drawn subgraph distribution is seldom the product of its parts' over
+    the components: then the frame is one factor, and still the same frame."""
+    graph = capped_graph(theory, policy, max_args=8).without_sub_edges()
+    blocks = graph_components(graph)
+    if len(blocks) < 2:
+        reject()
+    pgf = PGF(graph, data.draw(distributions(st.frozensets(st.sampled_from(graph.ids())), 6)))
+    product = is_product(pgf.probs, blocks)
+    event("product" if product else "not a product")
+    got = _frame_or_error(lambda: plf_with_semantics(pgf, semantics))
+    _assert_same_frame(got, _frame_or_error(lambda: full_plf_with_semantics(pgf, semantics)))
+    if isinstance(got, PLF):
+        assert _factor_sets(got) == (blocks if product else [frozenset(graph.ids())])
+
+
+def pairs_pgf(n):
+    """Subgraphs of ``n`` mutual-attack pairs a_k, b_k under independent
+    presence: pairs 0 and 1 certain, every other argument present with
+    probability 1/2.  b_1 and b_{n-1} both conclude ``z``, so the row of
+    ``z`` multiplies two factors."""
+    args = {}
+    for k in range(n):
+        args[f"a{k}()"] = Argument(f"a{k}", lit(f"p{k}"))
+        args[f"b{k}()"] = Argument(f"b{k}", lit("z" if k in (1, n - 1) else f"q{k}"))
+    attacks = {(f"{x}{k}()", f"{y}{k}()") for k in range(n) for x, y in ("ab", "ba")}
+    graph = ArgumentationGraph(args, frozenset(attacks), frozenset())
+    probs = {a: F(1) if int(a[1:-2]) < 2 else F(1, 2) for a in args}
+    return pag_to_pgf(PAG(graph, probs))
+
+
+def test_eight_pair_frame_holds_34_labellings_and_no_product():
+    """Under preferred, a certain pair has 2 labellings and an uncertain one 5
+    over its 4 subgraphs: the factors hold 2 + 2 + 6 * 5 = 34, where the full
+    product holds 2 * 2 * 5**6 = 62,500.  Every row is read off the factors."""
+    plf = plf_with_semantics(pairs_pgf(8), Semantics.PREFERRED)
+    assert sum(map(len, plf._factors.dists)) == 34
+    for arg_id in plf.graph.ids():
+        for label in plf.spec.label_set.labels:
+            argument_label_probability(plf, arg_id, label)
+    for statement in plf.conclusion_label_sets:
+        for scheme in StatementScheme:
+            statement_marginal(plf, statement, scheme)
+    assert "probs" not in vars(plf)
+    # a2() is IN when present alone, and in half the labellings with b2()
+    in_, out, off = ArgLabel.IN, ArgLabel.OUT, ArgLabel.OFF
+    assert plf.marginals["a2()"] == {in_: F(3, 8), out: F(1, 8), off: F(1, 2)}
+
+
+def test_three_pair_frame_matches_full_product():
+    pgf = pairs_pgf(3)
+    for semantics in Semantics:
+        got = plf_with_semantics(pgf, semantics)
+        assert len(got._factors.dists) == 3
+        _assert_same_frame(got, full_plf_with_semantics(pgf, semantics))
