@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +50,7 @@ from typing import (
 )
 
 from .core import (
+    _LABEL_RANK,
     ArgLabel,
     ArgumentationGraph,
     DefeasibleTheory,
@@ -247,6 +249,8 @@ class _Factors:
             return self.positions[factors[0]], self.dists[factors[0]]
         joined = [j for i in factors for j in self.positions[i]]
         order = sorted(range(len(joined)), key=joined.__getitem__)
+        arrange = operator.itemgetter(*order)  # two or more positions: a tuple
+        nums = [self.dists[i].nums for i in factors]
         pairs: List[Tuple[Tuple[ArgLabel, ...], int]] = []
         seen = set()
         for part in self.parts:
@@ -254,12 +258,14 @@ class _Factors:
             if key in seen:
                 continue
             seen.add(key)
-            block = []
-            for combo in itertools.product(*(self.rows[i][r] for i, r in zip(factors, key))):
-                labels = [label for t in combo for label in t]
-                num = math.prod(self.dists[i].nums[t] for i, t in zip(factors, combo))
-                block.append((tuple(labels[k] for k in order), num))
-            block.sort(key=lambda pair: [label.rank for label in pair[0]])
+            choices = [
+                [(t, n[t]) for t in self.rows[i][r]] for i, n, r in zip(factors, nums, key)
+            ]
+            block = [
+                (arrange(sum((t for t, _ in combo), ())), math.prod(n for _, n in combo))
+                for combo in itertools.product(*choices)
+            ]
+            block.sort(key=lambda pair: tuple(map(_LABEL_RANK.__getitem__, pair[0])))
             pairs += block
         den = math.prod(self.dists[i].den for i in factors)
         return tuple(joined[k] for k in order), Distribution(den, pairs)
