@@ -612,7 +612,10 @@ def plf_with_semantics(
         for positions, seen, r in zip(components, labelled, part):
             if r not in seen:
                 inner = subgraph_labellings(graph, r, semantics, max_args)
-                cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
+                if len(positions) == len(graph.ids()):
+                    cut = [l.labels for l in inner]
+                else:
+                    cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
                 seen[r] = cut, weights.weights_for(inner)
             if not seen[r][0]:
                 raise DistributionError(
