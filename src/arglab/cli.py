@@ -98,8 +98,58 @@ def _report(command: str, path: Path, body: Dict[str, object]) -> Dict[str, obje
     return out
 
 
+_string = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode
+_ARRAYS = {list, tuple}
+
+
+def _json(value: object, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
+    ``indent`` (a newline and the spaces of the enclosing level).
+
+    ``json.dumps`` uses its C encoder only without ``indent``; this walk lays
+    out the containers itself and hands strings and other scalars to the C
+    functions.  An array of strings, and an array of such rows (attack and
+    sub-edge pairs), is formatted without a call per item.  Dict keys must be
+    strings.
+    """
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = ("," + inner).join(
+            [_string(k) + ": " + _json(v, inner) for k, v in value.items()]
+        )
+        return "{" + inner + items + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        try:
+            return "[" + inner + sep.join(map(_string, value)) + indent + "]"
+        except TypeError:
+            pass
+        if set(map(type, value)) <= _ARRAYS and all(value):
+            # non-empty rows: each is one expression when it holds only strings
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            try:
+                rows = [
+                    "[" + row_inner + row_sep.join(map(_string, row)) + inner + "]"
+                    for row in value
+                ]
+                return "[" + inner + sep.join(rows) + indent + "]"
+            except TypeError:
+                pass
+        return "[" + inner + sep.join([_json(v, inner) for v in value]) + indent + "]"
+    return _scalar(value)
+
+
 def _emit(report: Dict[str, object]) -> None:
-    print(json.dumps(report, indent=2))
+    print(_json(report, "\n"))
 
 
 def _labelling_json(labelling: Labelling) -> Dict[str, str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -11,6 +12,7 @@ from .core import (
     ArgumentationGraph,
     DefeasibleTheory,
     Literal,
+    Rule,
     close_conflicts,
 )
 from .errors import CapExceededError
@@ -34,47 +36,117 @@ def build_arguments(
     An argument applies its top rule to child arguments for the plain body
     literals, in body order.  No rule id may occur twice on a root-to-leaf
     path, which keeps the set finite even for cyclic rule bases; the same rule
-    may still appear in sibling subtrees.  Construction recurses once per
-    nesting level, so a path deeper than the interpreter's recursion limit
-    allows (about 490 rules under the default limit of 1000) raises
-    CapExceededError.
+    may still appear in sibling subtrees.
+
+    The walk from a literal under a set of forbidden rule ids is memoised by
+    the literal and the part of that set that can occur below it (the rule ids
+    reachable from the literal through rule bodies), since nothing else can
+    change its result; an acyclic theory walks each literal once.  An
+    argument's id is formed from its rule and its children's ids, and the
+    argument is built only when the id is new.  Arguments are keyed in the
+    order they are first found, children before their parents.
+
+    Deep nesting is refused with CapExceededError, so that the walks of the
+    later layers, one frame per level, stay clear of the recursion limit:
+    an argument nesting more than half the interpreter's recursion limit of
+    rule applications (500 under the default limit of 1000), or a walk
+    recursing that deep, whichever comes first.
     """
-    by_head: Dict[Literal, List] = {}
+    by_head: Dict[Literal, List[Rule]] = {}
     for rid in sorted(theory.rules):
         rule = theory.rules[rid]
         by_head.setdefault(rule.head, []).append(rule)
+    builder = _ArgumentBuilder(by_head, max_args, sys.getrecursionlimit() // 2)
+    for head in sorted(by_head, key=str):
+        builder.args_for(head, frozenset())
+    return builder.found
 
-    found: Dict[str, Argument] = {}
 
-    def record(arg: Argument) -> Argument:
-        if arg.canonical_id not in found:
-            if len(found) >= max_args:
-                raise CapExceededError(
-                    f"more than {max_args} arguments; raise the cap to continue"
-                )
-            found[arg.canonical_id] = arg
-        return found[arg.canonical_id]
+_NO_ARGUMENTS: Tuple[Tuple[Argument, ...], int] = ((), 0)
 
-    def args_for(literal: Literal, forbidden: FrozenSet[str]) -> List[Argument]:
+
+def _rules_below(by_head: Dict[Literal, List[Rule]]) -> Dict[Literal, FrozenSet[str]]:
+    """For each head, the ids of the rules that can occur in its arguments."""
+    below = {head: {rule.id for rule in rules} for head, rules in by_head.items()}
+    bodies = {
+        head: {b for rule in rules for b in rule.body_plain if b in by_head}
+        for head, rules in by_head.items()
+    }
+    changed = True
+    while changed:
+        changed = False
+        for head, reached in below.items():
+            size = len(reached)
+            for b in bodies[head]:
+                reached |= below[b]
+            changed |= len(reached) != size
+    return {head: frozenset(reached) for head, reached in below.items()}
+
+
+class _ArgumentBuilder:
+    """The walk behind :func:`build_arguments`.  A class rather than a
+    recursive closure, which would reach itself through its own cell and
+    leave a reference cycle behind every build."""
+
+    def __init__(self, by_head: Dict[Literal, List[Rule]], max_args: int, max_depth: int):
+        self.by_head = by_head
+        self.below = _rules_below(by_head)
+        self.max_args = max_args
+        self.max_depth = max_depth
+        self.found: Dict[str, Argument] = {}
+        self.memo: Dict[Tuple[Literal, FrozenSet[str]], Tuple[Tuple[Argument, ...], int]] = {}
+
+    def args_for(
+        self, literal: Literal, forbidden: FrozenSet[str]
+    ) -> Tuple[Tuple[Argument, ...], int]:
+        """The arguments for ``literal`` using no rule in ``forbidden``, and
+        the deepest nesting among them (0 when there are none)."""
+        rules = self.by_head.get(literal)
+        if rules is None:
+            return _NO_ARGUMENTS
+        key = (literal, forbidden & self.below[literal])
+        result = self.memo.get(key)
+        if result is not None:
+            return result
+        if len(forbidden) >= self.max_depth:
+            raise self._too_deep()
+        found = self.found
         out: List[Argument] = []
-        for rule in by_head.get(literal, ()):
+        deepest = 0
+        for rule in rules:
             if rule.id in forbidden:
                 continue
             blocked = forbidden | {rule.id}
-            try:
-                child_choices = [args_for(b, blocked) for b in rule.body_plain]
-            except RecursionError:
-                raise CapExceededError(
-                    f"arguments nest more than {len(blocked)} rule applications deep,"
-                    " beyond the recursion limit"
-                ) from None
+            child_choices = []
+            depth = 1
+            for b in rule.body_plain:
+                args, below = self.args_for(b, blocked)
+                child_choices.append(args)
+                depth = max(depth, below + 1)
+            if not all(child_choices):
+                continue
+            if depth > self.max_depth:
+                raise self._too_deep()
+            deepest = max(deepest, depth)
+            head = rule.id + "("
             for combo in itertools.product(*child_choices):
-                out.append(record(Argument(rule.id, rule.head, combo, rule.body_naf)))
-        return out
+                cid = head + ",".join([c.canonical_id for c in combo]) + ")"
+                arg = found.get(cid)
+                if arg is None:
+                    if len(found) >= self.max_args:
+                        raise CapExceededError(
+                            f"more than {self.max_args} arguments; raise the cap to continue"
+                        )
+                    arg = found[cid] = Argument(rule.id, rule.head, combo, rule.body_naf)
+                out.append(arg)
+        result = self.memo[key] = (tuple(out), deepest)
+        return result
 
-    for head in sorted(by_head, key=str):
-        args_for(head, frozenset())
-    return found
+    def _too_deep(self) -> CapExceededError:
+        return CapExceededError(
+            f"arguments nest more than {self.max_depth} rule applications deep,"
+            " beyond the recursion limit"
+        )
 
 
 def derive_attacks(
@@ -93,8 +165,8 @@ def derive_attacks(
     So A's attackers are the direct attackers of its own top inference plus
     the attackers of its direct subarguments.  Direct attackers are looked up
     by conclusion, the attacker sets are propagated up the argument trees and
-    memoised per canonical id, and subarguments missing from ``arguments``
-    are walked all the same.
+    memoised per canonical id, children first, and subarguments missing from
+    ``arguments`` are walked all the same.
     """
     rebutting: Dict[Literal, List[Literal]] = {}
     for attacking, attacked in close_conflicts(theory):
@@ -108,29 +180,42 @@ def derive_attacks(
             return False
         return (x.top_rule, y.top_rule) in theory.superiority
 
-    memo: Dict[str, FrozenSet[str]] = {}
+    def direct(arg: Argument) -> Set[str]:
+        out = {
+            b.canonical_id
+            for premise in arg.naf_premises
+            for b in by_conclusion.get(premise, ())
+        }
+        for literal in rebutting.get(arg.conclusion, ()):
+            for b in by_conclusion.get(literal, ()):
+                if not preferred(arg, b):
+                    out.add(b.canonical_id)
+        return out
 
-    def attackers(arg: Argument) -> FrozenSet[str]:
-        found = memo.get(arg.canonical_id)
-        if found is None:
-            direct = {
-                b.canonical_id
-                for premise in arg.naf_premises
-                for b in by_conclusion.get(premise, ())
-            }
-            for literal in rebutting.get(arg.conclusion, ()):
-                for b in by_conclusion.get(literal, ()):
-                    if not preferred(arg, b):
-                        direct.add(b.canonical_id)
+    # children before parents, on an explicit stack: no recursion to run out
+    # of, and no recursive closure to leave a reference cycle behind
+    memo: Dict[str, FrozenSet[str]] = {}
+    for target in arguments.values():
+        stack = [target]
+        while stack:
+            arg = stack[-1]
+            if arg.canonical_id in memo:
+                stack.pop()
+                continue
+            pending = [c for c in arg.direct_subs if c.canonical_id not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            found = direct(arg)
             for child in arg.direct_subs:
-                direct |= attackers(child)
-            found = memo[arg.canonical_id] = frozenset(direct)
-        return found
+                found |= memo[child.canonical_id]
+            memo[arg.canonical_id] = frozenset(found)
 
     return frozenset(
         (b, target.canonical_id)
         for target in arguments.values()
-        for b in attackers(target)
+        for b in memo[target.canonical_id]
     )
 
 

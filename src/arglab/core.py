@@ -193,21 +193,27 @@ class ArgumentationGraph:
             if b == a:
                 raise ValueError(f"reflexive subargument edge on {a}")
             children.setdefault(a, []).append(b)
+        # depth first on an explicit stack, from each argument with children
+        # (only those can lie on a cycle): 1 while on the stack, 2 when done
         state: Dict[str, int] = {}
-
-        def visit(node: str):
-            state[node] = 1
-            for nxt in children.get(node, ()):
-                mark = state.get(nxt)
-                if mark == 1:
-                    raise ValueError("subargument relation has a cycle")
-                if mark is None:
-                    visit(nxt)
-            state[node] = 2
-
-        for node in self.arguments:
-            if node not in state:
-                visit(node)
+        for root in children:
+            if root in state:
+                continue
+            state[root] = 1
+            stack = [(root, iter(children[root]))]
+            while stack:
+                node, pending = stack[-1]
+                for nxt in pending:
+                    mark = state.get(nxt)
+                    if mark == 1:
+                        raise ValueError("subargument relation has a cycle")
+                    if mark is None:
+                        state[nxt] = 1
+                        stack.append((nxt, iter(children.get(nxt, ()))))
+                        break
+                else:
+                    state[node] = 2
+                    stack.pop()
 
     def ids(self) -> Tuple[str, ...]:
         """Argument ids in sorted order, the order of every labelling's labels."""

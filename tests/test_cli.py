@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -7,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arglab import (
     PLF,
@@ -18,7 +22,7 @@ from arglab import (
     Semantics,
     build_graph,
 )
-from arglab.cli import _build_plf, build_parser, main
+from arglab.cli import _build_plf, _emit, build_parser, main
 
 from conftest import A_B, A_B1, A_B2, A_C, A_D, CHAIN, MUTUAL, RUNNING_EXAMPLE
 
@@ -97,6 +101,44 @@ def test_marginal_independent_grounded(theory_file, capsys):
     assert labels["off"] == {"num": 9, "den": 10, "approx": "0.900000"}
 
 
+# strings that need escaping (quotes, backslashes, control characters) or
+# are not ASCII, next to plain ids
+_json_strings = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters(), max_size=6
+) | st.sampled_from(["r1()", "r2(r1(),r1())", "in", ""])
+_json_scalars = (
+    _json_strings
+    | st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+)
+
+
+def _json_containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_json_strings, children, max_size=4)
+        # rows, as attack and sub-edge pairs, now and then with an empty
+        # row or a row that is not all strings
+        | st.lists(
+            st.tuples(_json_strings, _json_strings).map(list)
+            | st.lists(_json_strings, max_size=3)
+            | st.lists(children, min_size=1, max_size=2),
+            max_size=4,
+        )
+    )
+
+
+@given(st.recursive(_json_scalars, _json_containers, max_leaves=40))
+@settings(max_examples=400, deadline=None)
+def test_emit_writes_what_json_dumps_writes(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
 def test_deep_theory_exits_with_cap_in_every_subcommand(tmp_path, capsys):
     """A 600-rule chain has 600 arguments but nests them past the recursion limit."""
     lines = ["r0 : => a0."] + [f"r{i} : a{i - 1} => a{i}." for i in range(1, 600)]
@@ -107,6 +149,32 @@ def test_deep_theory_exits_with_cap_in_every_subcommand(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("cap exceeded: arguments nest more than ")
         assert err.endswith("rule applications deep, beyond the recursion limit\n")
+
+
+def test_deep_theory_built_bottom_up_exits_with_cap_in_every_subcommand(tmp_path, capsys):
+    """With zero-padded heads the chain is walked from its foot, so the walk
+    stays shallow and the arguments' own nesting is refused."""
+    lines = ["r0 : => a000."] + [f"r{i} : a{i - 1:03d} => a{i:03d}." for i in range(1, 600)]
+    path = tmp_path / "chain.dl"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("args", "graph", "label", "marginal", "check"):
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"cap exceeded: arguments nest more than {sys.getrecursionlimit() // 2}"
+            " rule applications deep, beyond the recursion limit\n"
+        )
+
+
+def test_chain_within_the_nesting_guard_builds(tmp_path, capsys):
+    lines = ["r0 : => a0."] + [f"r{i} : a{i - 1} => a{i}." for i in range(1, 480)]
+    path = tmp_path / "chain.dl"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "graph", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["arguments"]) == 480
+    assert len(report["sub_edges"]) == 479
 
 
 def test_marginal_preferred_with_weights(theory_file, tmp_path, capsys):

@@ -1,6 +1,11 @@
+import gc
+import sys
+
 import pytest
 
 from arglab import (
+    Argument,
+    ArgumentationGraph,
     CapExceededError,
     PreferencePolicy,
     build_arguments,
@@ -10,6 +15,7 @@ from arglab import (
     is_legal,
     is_rule_complete,
     is_subargument_complete,
+    lit,
     parse_theory,
     to_dot,
 )
@@ -110,6 +116,45 @@ def test_rule_reuse_banned_on_paths():
     theory2 = parse_theory("r1 : => a.\nr2 : a, a => b.\n")
     args2 = build_arguments(theory2)
     assert "r2(r1(),r1())" in args2
+
+
+def test_graph_construction_leaves_no_reference_cycle():
+    """Building, attack derivation and graph validation leave nothing for the
+    cyclic collector: what a build allocates is freed when it is dropped."""
+    theory = layered_theory(2, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        graph = build_graph(theory)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(graph.arguments) == 67
+
+
+def test_attacks_and_validation_walk_chains_past_the_recursion_limit():
+    """Attack derivation and graph validation keep their own stacks, so an
+    argument nested deeper than the recursion limit raises no RecursionError."""
+    depth = sys.getrecursionlimit() + 200
+    theory = parse_theory("n : => -x0.\n")
+    fact = Argument("n", lit("-x0"))
+    arg = Argument("r0", lit("x0"))
+    arguments = {fact.canonical_id: fact, arg.canonical_id: arg}
+    for i in range(1, depth):
+        arg = Argument(f"r{i}", lit(f"x{i}"), (arg,))
+        arguments[arg.canonical_id] = arg
+    attacks = derive_attacks(theory, arguments)
+    # n() rebuts r0(), hence every argument built on it, and r0() rebuts n()
+    assert attacks == {("r0()", "n()")} | {("n()", a) for a in arguments if a != "n()"}
+    sub_edges = frozenset(
+        (child.canonical_id, a.canonical_id)
+        for a in arguments.values()
+        for child in a.direct_subs
+    )
+    graph = ArgumentationGraph(arguments, attacks, sub_edges)
+    assert len(graph.sub_edges) == depth - 1
+    with pytest.raises(ValueError, match="subargument relation has a cycle"):
+        ArgumentationGraph(arguments, frozenset(), sub_edges | {(arg.canonical_id, "r0()")})
 
 
 def test_argument_cap():

@@ -3,10 +3,11 @@
 Each oracle below is the straightforward version of a rewritten path: attack
 derivation over every target, subargument and attacker; graph validation over
 every subargument edge and attack; the attackers index inverted from the
-attack set; the pushforward that rebuilds arguments per rule subset; the
-product over all 2^n subsets; the complete, preferred and stable labellings
-found by testing all 2^n candidate IN-sets, the conflict-free ones by testing
-all 3^n assignments; the labelling search on sets of ids that the bitmask
+attack set; argument construction that walks each literal again under every
+path and builds each argument before looking its id up; the pushforward that
+rebuilds arguments per rule subset; the product over all 2^n subsets; the
+complete, preferred and stable labellings found by testing all 2^n candidate
+IN-sets, the conflict-free ones by testing all 3^n assignments; the labelling search on sets of ids that the bitmask
 search replaced; combined labellings with OFF pasted around a labelling of
 the induced subgraph, built and validated as a graph of its own; labellings
 built through the sorting, checking ``Labelling.from_mapping``, and the
@@ -99,6 +100,40 @@ def abstract_graphs(draw, max_args=8):
 
 
 # --- oracles -----------------------------------------------------------------
+
+
+def full_build_arguments(theory, max_args):
+    """Every argument, walking each literal again under each path that reaches
+    it and building each argument before looking its id up."""
+    by_head = {}
+    for rid in sorted(theory.rules):
+        rule = theory.rules[rid]
+        by_head.setdefault(rule.head, []).append(rule)
+    found = {}
+
+    def record(arg):
+        if arg.canonical_id not in found:
+            if len(found) >= max_args:
+                raise CapExceededError(
+                    f"more than {max_args} arguments; raise the cap to continue"
+                )
+            found[arg.canonical_id] = arg
+        return found[arg.canonical_id]
+
+    def args_for(literal, forbidden):
+        out = []
+        for rule in by_head.get(literal, ()):
+            if rule.id in forbidden:
+                continue
+            blocked = forbidden | {rule.id}
+            child_choices = [args_for(b, blocked) for b in rule.body_plain]
+            for combo in itertools.product(*child_choices):
+                out.append(record(Argument(rule.id, rule.head, combo, rule.body_naf)))
+        return out
+
+    for head in sorted(by_head, key=str):
+        args_for(head, frozenset())
+    return found
 
 
 def triple_loop_attacks(theory, arguments, policy):
@@ -484,6 +519,31 @@ def is_product(probs, blocks):
 
 
 # --- comparisons -------------------------------------------------------------
+
+
+def _built_or_error(call):
+    try:
+        return list(call().items())
+    except CapExceededError as exc:
+        return type(exc), str(exc)
+
+
+@given(theories(max_rules=7), st.integers(min_value=0, max_value=12) | st.just(10**5))
+@settings(max_examples=400, deadline=None)
+def test_build_arguments_matches_full_walk(theory, max_args):
+    """The same arguments in the same order, children before parents, or the
+    same refusal at the same argument."""
+    got = _built_or_error(lambda: build_arguments(theory, max_args=max_args))
+    expect = _built_or_error(lambda: full_build_arguments(theory, max_args))
+    event("capped" if isinstance(expect, tuple) else "built")
+    assert got == expect
+    if isinstance(got, list):
+        found = dict(got)
+        position = {cid: i for i, (cid, _) in enumerate(got)}
+        for cid, arg in got:
+            for child in arg.direct_subs:
+                assert found[child.canonical_id] is child
+                assert position[child.canonical_id] < position[cid]
 
 
 @given(theories(), policies)
