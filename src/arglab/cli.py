@@ -108,10 +108,10 @@ def _json(value: object, indent: str) -> str:
     ``indent`` (a newline and the spaces of the enclosing level).
 
     ``json.dumps`` uses its C encoder only without ``indent``; this walk lays
-    out the containers itself and hands strings and other scalars to the C
-    functions.  An array of strings, and an array of such rows (attack and
-    sub-edge pairs), is formatted without a call per item.  Dict keys must be
-    strings.
+    out the containers itself, writes null, booleans and integers as the
+    encoder does, and hands strings and other scalars to the C functions.  An
+    array of strings, and an array of such rows (attack and sub-edge pairs),
+    is formatted without a call per item.  Dict keys must be strings.
     """
     if isinstance(value, str):
         return _string(value)
@@ -145,6 +145,14 @@ def _json(value: object, indent: str) -> str:
             except TypeError:
                 pass
         return "[" + inner + sep.join([_json(v, inner) for v in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     return _scalar(value)
 
 

@@ -52,35 +52,29 @@ def build_arguments(
     rule applications (500 under the default limit of 1000), or a walk
     recursing that deep, whichever comes first.
     """
-    by_head: Dict[Literal, List[Rule]] = {}
-    for rid in sorted(theory.rules):
-        rule = theory.rules[rid]
-        by_head.setdefault(rule.head, []).append(rule)
-    builder = _ArgumentBuilder(by_head, max_args, sys.getrecursionlimit() // 2)
-    for head in sorted(by_head, key=str):
+    builder = _ArgumentBuilder(theory, max_args, sys.getrecursionlimit() // 2)
+    for head in range(len(builder.rules)):
         builder.args_for(head, frozenset())
     return builder.found
 
 
+_HeadRules = List[List[Tuple[Rule, Tuple[int, ...]]]]
 _NO_ARGUMENTS: Tuple[Tuple[Argument, ...], int] = ((), 0)
 
 
-def _rules_below(by_head: Dict[Literal, List[Rule]]) -> Dict[Literal, FrozenSet[str]]:
+def _rules_below(rules: _HeadRules) -> List[FrozenSet[str]]:
     """For each head, the ids of the rules that can occur in its arguments."""
-    below = {head: {rule.id for rule in rules} for head, rules in by_head.items()}
-    bodies = {
-        head: {b for rule in rules for b in rule.body_plain if b in by_head}
-        for head, rules in by_head.items()
-    }
+    below = [{rule.id for rule, _ in entries} for entries in rules]
+    bodies = [{j for _, body in entries for j in body if j >= 0} for entries in rules]
     changed = True
     while changed:
         changed = False
-        for head, reached in below.items():
+        for reached, under in zip(below, bodies):
             size = len(reached)
-            for b in bodies[head]:
-                reached |= below[b]
+            for j in under:
+                reached |= below[j]
             changed |= len(reached) != size
-    return {head: frozenset(reached) for head, reached in below.items()}
+    return [frozenset(reached) for reached in below]
 
 
 class _ArgumentBuilder:
@@ -88,23 +82,34 @@ class _ArgumentBuilder:
     recursive closure, which would reach itself through its own cell and
     leave a reference cycle behind every build."""
 
-    def __init__(self, by_head: Dict[Literal, List[Rule]], max_args: int, max_depth: int):
-        self.by_head = by_head
-        self.below = _rules_below(by_head)
+    def __init__(self, theory: DefeasibleTheory, max_args: int, max_depth: int):
+        by_head: Dict[Literal, List[Rule]] = {}
+        for rid in sorted(theory.rules):
+            rule = theory.rules[rid]
+            by_head.setdefault(rule.head, []).append(rule)
+        heads = sorted(by_head, key=str)
+        position = {head: i for i, head in enumerate(heads)}
+        # the heads in walk order, each with its rules in id order and their
+        # plain bodies as head positions; -1 stands for a literal no rule
+        # concludes
+        self.rules: _HeadRules = [
+            [(rule, tuple([position.get(b, -1) for b in rule.body_plain]))
+             for rule in by_head[head]]
+            for head in heads
+        ]
+        self.below = _rules_below(self.rules)
         self.max_args = max_args
         self.max_depth = max_depth
         self.found: Dict[str, Argument] = {}
-        self.memo: Dict[Tuple[Literal, FrozenSet[str]], Tuple[Tuple[Argument, ...], int]] = {}
+        self.memo: Dict[Tuple[int, FrozenSet[str]], Tuple[Tuple[Argument, ...], int]] = {}
 
-    def args_for(
-        self, literal: Literal, forbidden: FrozenSet[str]
-    ) -> Tuple[Tuple[Argument, ...], int]:
-        """The arguments for ``literal`` using no rule in ``forbidden``, and
-        the deepest nesting among them (0 when there are none)."""
-        rules = self.by_head.get(literal)
-        if rules is None:
+    def args_for(self, head: int, forbidden: FrozenSet[str]) -> Tuple[Tuple[Argument, ...], int]:
+        """The arguments for the head at position ``head`` using no rule in
+        ``forbidden``, and the deepest nesting among them (0 when there are
+        none)."""
+        if head < 0:
             return _NO_ARGUMENTS
-        key = (literal, forbidden & self.below[literal])
+        key = (head, forbidden & self.below[head])
         result = self.memo.get(key)
         if result is not None:
             return result
@@ -113,14 +118,14 @@ class _ArgumentBuilder:
         found = self.found
         out: List[Argument] = []
         deepest = 0
-        for rule in rules:
+        for rule, body in self.rules[head]:
             if rule.id in forbidden:
                 continue
             blocked = forbidden | {rule.id}
             child_choices = []
             depth = 1
-            for b in rule.body_plain:
-                args, below = self.args_for(b, blocked)
+            for j in body:
+                args, below = self.args_for(j, blocked)
                 child_choices.append(args)
                 depth = max(depth, below + 1)
             if not all(child_choices):
@@ -128,9 +133,9 @@ class _ArgumentBuilder:
             if depth > self.max_depth:
                 raise self._too_deep()
             deepest = max(deepest, depth)
-            head = rule.id + "("
+            prefix = rule.id + "("
             for combo in itertools.product(*child_choices):
-                cid = head + ",".join([c.canonical_id for c in combo]) + ")"
+                cid = prefix + ",".join([c.canonical_id for c in combo]) + ")"
                 arg = found.get(cid)
                 if arg is None:
                     if len(found) >= self.max_args:

@@ -188,32 +188,24 @@ class ArgumentationGraph:
         object.__setattr__(self, "_ids", ids)
 
     def _check_sub_acyclic(self):
-        children: Dict[str, List[str]] = {}
+        # peel, from the leaves up, each argument whose subarguments are all
+        # peeled (Kahn's algorithm, no recursion); what is left lies on or
+        # above a cycle
+        pending: Dict[str, int] = {}
+        parents: Dict[str, List[str]] = {}
         for b, a in self.sub_edges:
             if b == a:
                 raise ValueError(f"reflexive subargument edge on {a}")
-            children.setdefault(a, []).append(b)
-        # depth first on an explicit stack, from each argument with children
-        # (only those can lie on a cycle): 1 while on the stack, 2 when done
-        state: Dict[str, int] = {}
-        for root in children:
-            if root in state:
-                continue
-            state[root] = 1
-            stack = [(root, iter(children[root]))]
-            while stack:
-                node, pending = stack[-1]
-                for nxt in pending:
-                    mark = state.get(nxt)
-                    if mark == 1:
-                        raise ValueError("subargument relation has a cycle")
-                    if mark is None:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(children.get(nxt, ()))))
-                        break
-                else:
-                    state[node] = 2
-                    stack.pop()
+            pending[a] = pending.get(a, 0) + 1
+            parents.setdefault(b, []).append(a)
+        ready = [b for b in parents if b not in pending]
+        while ready:
+            for a in parents.get(ready.pop(), ()):
+                pending[a] -= 1
+                if not pending[a]:
+                    ready.append(a)
+        if any(pending.values()):
+            raise ValueError("subargument relation has a cycle")
 
     def ids(self) -> Tuple[str, ...]:
         """Argument ids in sorted order, the order of every labelling's labels."""

@@ -2,23 +2,24 @@
 
 Each oracle below is the straightforward version of a rewritten path: attack
 derivation over every target, subargument and attacker; graph validation over
-every subargument edge and attack; the attackers index inverted from the
-attack set; argument construction that walks each literal again under every
-path and builds each argument before looking its id up; the pushforward that
-rebuilds arguments per rule subset; the product over all 2^n subsets; the
-complete, preferred and stable labellings found by testing all 2^n candidate
-IN-sets, the conflict-free ones by testing all 3^n assignments; the labelling search on sets of ids that the bitmask
-search replaced; combined labellings with OFF pasted around a labelling of
-the induced subgraph, built and validated as a graph of its own; labellings
-built through the sorting, checking ``Labelling.from_mapping``, and the
-tuple-of-pairs labelling the label tuple replaced; the argument and
-statement marginals that rescan the support on every call; and the
-distribution merge, the conversions between frames, the labelling frame built
-from one ``Fraction`` product p·w per labelling, and the marginal tables
-folded one labelling at a time through ``label()`` and ``statement_label``,
-that add one ``Fraction`` at a time; and the labelling frame that labels
-every subgraph of the support whole and sums over them all, which the frame
-factored over the graph's components replaced.
+every subargument edge and attack, and its cycle check by recursive
+depth-first search; the attackers index inverted from the attack set; argument
+construction that walks each literal again under every path and builds each
+argument before looking its id up; the pushforward that rebuilds arguments per
+rule subset; the product over all 2^n subsets; the complete, preferred and
+stable labellings found by testing all 2^n candidate IN-sets, the
+conflict-free ones by testing all 3^n assignments; the labelling search on
+sets of ids that the bitmask search replaced; combined labellings with OFF
+pasted around a labelling of the induced subgraph, built and validated as a
+graph of its own; labellings built through the sorting, checking
+``Labelling.from_mapping``, and the tuple-of-pairs labelling the label tuple
+replaced; the argument and statement marginals that rescan the support on
+every call; and the distribution merge, the conversions between frames, the
+labelling frame built from one ``Fraction`` product p·w per labelling, and the
+marginal tables folded one labelling at a time through ``label()`` and
+``statement_label``, that add one ``Fraction`` at a time; and the labelling
+frame that labels every subgraph of the support whole and sums over them all,
+which the frame factored over the graph's components replaced.
 Results must agree exactly, under both preference policies.
 """
 
@@ -174,6 +175,25 @@ def inverted_attacks(graph):
     for b, a in graph.attacks:
         att[a].add(b)
     return att
+
+
+def has_cycle_recursive(nodes, edges):
+    """Depth-first search for a cycle in the (child, parent) edges, one call
+    per node on the path."""
+    children = {}
+    for b, a in edges:
+        children.setdefault(a, []).append(b)
+    state = {}
+
+    def visit(node):
+        state[node] = 1
+        for nxt in children.get(node, ()):
+            if state.get(nxt) == 1 or (nxt not in state and visit(nxt)):
+                return True
+        state[node] = 2
+        return False
+
+    return any(node not in state and visit(node) for node in nodes)
 
 
 def restricted_to(theory, rule_ids):
@@ -585,6 +605,23 @@ def test_graph_validation_matches_quadratic_check(theory, policy, data):
         assert "does not extend to parent" in str(exc)
         accepted = False
     assert accepted == attacks_extend_quadratic(attacks, graph.sub_edges)
+
+
+@given(st.integers(min_value=1, max_value=7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_subargument_cycle_check_matches_recursive_search(n, data):
+    args = {f"r{i}()": Argument(f"r{i}", lit(f"a{i}")) for i in range(n)}
+    ids = sorted(args)
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] != e[1])
+    edges = frozenset(data.draw(st.sets(pairs, max_size=2 * n)))
+    try:
+        ArgumentationGraph(args, frozenset(), edges)
+        refused = False
+    except ValueError as exc:
+        assert str(exc) == "subargument relation has a cycle"
+        refused = True
+    event("cycle" if refused else "acyclic")
+    assert refused == has_cycle_recursive(ids, edges)
 
 
 @given(theories(), policies, st.data())
