@@ -103,61 +103,78 @@ _scalar = json.JSONEncoder().encode
 _ARRAYS = {list, tuple}
 
 
-def _json(value: object, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
-    ``indent`` (a newline and the spaces of the enclosing level).
+def _json(value: object, indent: str, out: List[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes
+    it, nested at ``indent`` (a newline and the spaces of the enclosing level).
 
     ``json.dumps`` uses its C encoder only without ``indent``; this walk lays
     out the containers itself, writes null, booleans and integers as the
     encoder does, and hands strings and other scalars to the C functions.  An
     array of strings, and an array of such rows (attack and sub-edge pairs),
-    is formatted without a call per item.  Dict keys must be strings.
+    is one ``join`` without a call per item.  The pieces are joined once, at
+    the end, so no large string is copied level by level.  Dict keys must be
+    strings.
     """
     if isinstance(value, str):
-        return _string(value)
-    if isinstance(value, dict):
+        out.append(_string(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        items = ("," + inner).join(
-            [_string(k) + ": " + _json(v, inner) for k, v in value.items()]
-        )
-        return "{" + inner + items + indent + "}"
-    if isinstance(value, (list, tuple)):
+        opening = "{" + inner
+        for k, v in value.items():
+            out.append(opening + _string(k) + ": ")
+            _json(v, inner, out)
+            opening = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
         sep = "," + inner
         try:
-            return "[" + inner + sep.join(map(_string, value)) + indent + "]"
+            items = sep.join(map(_string, value))
         except TypeError:
-            pass
-        if set(map(type, value)) <= _ARRAYS and all(value):
+            items = None
+        if items is None and set(map(type, value)) <= _ARRAYS and all(value):
             # non-empty rows: each is one expression when it holds only strings
             row_inner = inner + "  "
             row_sep = "," + row_inner
             try:
-                rows = [
+                items = sep.join([
                     "[" + row_inner + row_sep.join(map(_string, row)) + inner + "]"
                     for row in value
-                ]
-                return "[" + inner + sep.join(rows) + indent + "]"
+                ])
             except TypeError:
                 pass
-        return "[" + inner + sep.join([_json(v, inner) for v in value]) + indent + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _scalar(value)
+        if items is not None:
+            out += ("[" + inner, items, indent + "]")
+            return
+        opening = "[" + inner
+        for v in value:
+            out.append(opening)
+            _json(v, inner, out)
+            opening = sep
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(_scalar(value))
 
 
 def _emit(report: Dict[str, object]) -> None:
-    print(_json(report, "\n"))
+    out: List[str] = []
+    _json(report, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _labelling_json(labelling: Labelling) -> Dict[str, str]:

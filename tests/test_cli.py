@@ -166,15 +166,16 @@ def test_deep_theory_built_bottom_up_exits_with_cap_in_every_subcommand(tmp_path
         )
 
 
-def test_chain_within_the_nesting_guard_builds(tmp_path, capsys):
-    lines = ["r0 : => a0."] + [f"r{i} : a{i - 1} => a{i}." for i in range(1, 480)]
+@pytest.mark.parametrize("length", [480, sys.getrecursionlimit() // 2])
+def test_chain_within_the_nesting_guard_builds(tmp_path, capsys, length):
+    lines = ["r0 : => a0."] + [f"r{i} : a{i - 1} => a{i}." for i in range(1, length)]
     path = tmp_path / "chain.dl"
     path.write_text("\n".join(lines) + "\n")
     code, out = run(capsys, "graph", str(path))
     assert code == 0
     report = json.loads(out)
-    assert len(report["arguments"]) == 480
-    assert len(report["sub_edges"]) == 479
+    assert len(report["arguments"]) == length
+    assert len(report["sub_edges"]) == length - 1
 
 
 def test_marginal_preferred_with_weights(theory_file, tmp_path, capsys):
