@@ -46,11 +46,11 @@ def build_arguments(
     argument is built only when the id is new.  Arguments are keyed in the
     order they are first found, children before their parents.
 
-    Deep nesting is refused with CapExceededError, so that the walks of the
-    later layers, one frame per level, stay clear of the recursion limit:
-    an argument nesting more than half the interpreter's recursion limit of
-    rule applications (500 under the default limit of 1000), or a walk
-    recursing that deep, whichever comes first.
+    Deep nesting is refused with CapExceededError, so that this walk and the
+    recursive walks over an argument's subarguments (``Argument.subarguments``)
+    stay clear of the recursion limit: an argument nesting more than half the
+    interpreter's recursion limit of rule applications (500 under the default
+    limit of 1000), or a walk recursing that deep, whichever comes first.
     """
     builder = _ArgumentBuilder(theory, max_args, sys.getrecursionlimit() // 2)
     for head in range(len(builder.rules)):
