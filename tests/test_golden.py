@@ -15,7 +15,11 @@ uncertain rules, one more than the ``independent`` frame takes.  ``twin.dl``
 has two graph components, a mutual attack and the shape of ``legal.dl``, on
 disjoint uncertain rules, with a statement ``c`` concluded in both;
 ``twin.pag`` is a frame over its arguments, and ``twin.weights`` splits the
-mutual attack's labellings unevenly and gives the others weight 0.  ``zero.dl``
+mutual attack's labellings unevenly and gives the others weight 0.
+``layered.dl`` is ``tests/generators.layered_theory(2, 5)``: 67 arguments
+with long shared-prefix ids, rebuttals and undercuts reaching every argument
+built on top (171 attacks under last-link, 246 without preferences), and 60
+sub-edges.  ``zero.dl``
 and ``zero.ptf`` each hold a probability with a zero denominator, and
 ``duplicate.weights`` an assignment naming one argument twice.  The CLI runs
 inside that directory with relative paths, so the ``input`` and ``frame``
@@ -74,7 +78,7 @@ def cases():
         for semantics in ("complete", "preferred", "stable"):
             out.append((f"{theory}-label-{semantics}-inoutun",
                         ["label", f"{theory}.dl", "--semantics", semantics]))
-    for theory in ("running", "superior", "gadgets", "odd_loop"):
+    for theory in ("running", "superior", "gadgets", "odd_loop", "layered"):
         for policy in ("last_link", "none"):
             common = [f"{theory}.dl", "--policy", policy]
             out.append((f"{theory}-args-{policy}", ["args", *common]))
