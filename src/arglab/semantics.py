@@ -135,22 +135,24 @@ def _conflict_free_masks(att: Sequence[int], positions: Sequence[int]) -> List[i
     The positions are decided in the order given: each is first left out,
     then put in unless that puts it IN with an attacker (itself included).
     The subsets come out in that visiting order, which for ascending
-    ``positions`` is the order of the bit vectors over them.
+    ``positions`` is the order of the bit vectors over them.  The search runs
+    on an explicit stack, the put-in branch pushed below the left-out one, so
+    it leaves no recursive closure, and no reference cycle, behind.
     """
     out: List[int] = []
-
-    def search(k: int, chosen: int, hit: int) -> None:
-        # ``hit`` is the union of the chosen arguments' attackers
-        if k == len(positions):
+    n = len(positions)
+    # (positions decided, chosen mask, union of the chosen arguments' attackers)
+    stack = [(0, 0, 0)]
+    while stack:
+        k, chosen, hit = stack.pop()
+        if k == n:
             out.append(chosen)
-            return
-        search(k + 1, chosen, hit)
+            continue
         i = positions[k]
         bit = 1 << i
         if not (att[i] & (chosen | bit) or hit & bit):
-            search(k + 1, chosen | bit, hit | att[i])
-
-    search(0, 0, 0)
+            stack.append((k + 1, chosen | bit, hit | att[i]))
+        stack.append((k + 1, chosen, hit))
     return out
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +16,7 @@ from arglab import (
     grounded_labelling,
     labellings,
     lit,
+    subgraph_labellings,
 )
 from arglab.semantics import MAX_ENUM_ARGUMENTS
 from strategies import capped_graph, theories
@@ -173,6 +176,27 @@ def test_disjoint_mutual_attacks_at_the_cap():
     assert preferred == stable
     assert all(len(_in_set(l)) == 8 for l in preferred)
     assert preferred == [l for l in complete if len(_in_set(l)) == 8]
+
+
+def test_preferred_search_leaves_no_reference_cycle():
+    """The conflict-free search keeps its own stack: what a preferred
+    enumeration allocates is freed when it is dropped, not left for the
+    cyclic collector."""
+    args, attacks = {}, set()
+    for i in range(3):
+        b, c = Argument(f"rb{i}", lit(f"b{i}")), Argument(f"rc{i}", lit(f"-b{i}"))
+        args[b.canonical_id], args[c.canonical_id] = b, c
+        attacks |= {(b.canonical_id, c.canonical_id), (c.canonical_id, b.canonical_id)}
+    graph = ArgumentationGraph(args, frozenset(attacks), frozenset())
+    present = graph.ids()[1:]
+    gc.collect()
+    gc.disable()
+    try:
+        result = subgraph_labellings(graph, present, Semantics.PREFERRED, MAX_ENUM_ARGUMENTS)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(result) == 4
 
 
 def test_spec_validation():
