@@ -486,6 +486,8 @@ class SublabellingWeights:
         k = len(inner_labellings)
         if k <= 1:
             return [ONE] * k
+        if not self.entries:
+            return [Fraction(1, k)] * k
         weights = []
         for labelling in inner_labellings:
             mapping = labelling.mapping
