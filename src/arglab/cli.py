@@ -17,7 +17,7 @@ from dataclasses import asdict
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, Literal
 from .construct import PreferencePolicy, build_graph, to_dot
@@ -110,10 +110,10 @@ def _json(value: object, indent: str, out: List[str]) -> None:
     ``json.dumps`` uses its C encoder only without ``indent``; this walk lays
     out the containers itself, writes null, booleans and integers as the
     encoder does, and hands strings and other scalars to the C functions.  An
-    array of strings, and an array of such rows (attack and sub-edge pairs),
-    is one ``join`` without a call per item.  The pieces are joined once, at
-    the end, so no large string is copied level by level.  Dict keys must be
-    strings.
+    array of strings, and an array of rows of two strings (attack and
+    sub-edge pairs), is one ``join`` without a Python-level call per item.
+    The pieces are joined once, at the end, so no large string is copied
+    level by level.  Dict keys must be strings.
     """
     if isinstance(value, str):
         out.append(_string(value))
@@ -137,18 +137,7 @@ def _json(value: object, indent: str, out: List[str]) -> None:
         try:
             items = sep.join(map(_string, value))
         except TypeError:
-            items = None
-        if items is None and set(map(type, value)) <= _ARRAYS and all(value):
-            # non-empty rows: each is one expression when it holds only strings
-            row_inner = inner + "  "
-            row_sep = "," + row_inner
-            try:
-                items = sep.join([
-                    "[" + row_inner + row_sep.join(map(_string, row)) + inner + "]"
-                    for row in value
-                ])
-            except TypeError:
-                pass
+            items = _pairs(value, inner)
         if items is not None:
             out += ("[" + inner, items, indent + "]")
             return
@@ -168,6 +157,27 @@ def _json(value: object, indent: str, out: List[str]) -> None:
         out.append(int.__repr__(value))
     else:
         out.append(_scalar(value))
+
+
+def _pairs(rows: Sequence[object], inner: str) -> Optional[str]:
+    """The items of an array of rows of two strings, nested at ``inner``, as
+    ``json.dumps(indent=2)`` lays them out; None when ``rows`` is anything
+    else.  Each distinct string is encoded once, and the rows are laid out
+    by repeating one row's pieces and filling in the encoded strings."""
+    if not set(map(type, rows)) <= _ARRAYS or set(map(len, rows)) != {2}:
+        return None
+    firsts, seconds = zip(*rows)
+    try:
+        strings = set(firsts).union(seconds)
+        encoded = dict(zip(strings, map(_string, strings))).__getitem__
+    except TypeError:  # a member that is not a string
+        return None
+    row_inner = inner + "  "
+    pieces = ["[" + row_inner, "", "," + row_inner, "", inner + "]," + inner] * len(rows)
+    pieces[1::5] = map(encoded, firsts)
+    pieces[3::5] = map(encoded, seconds)
+    pieces[-1] = inner + "]"
+    return "".join(pieces)
 
 
 def _emit(report: Dict[str, object]) -> None:
@@ -315,8 +325,8 @@ def cmd_graph(args) -> int:
         return 0
     body = {
         "arguments": graph.ids(),
-        "attacks": [list(e) for e in sorted(graph.attacks)],
-        "sub_edges": [list(e) for e in sorted(graph.sub_edges)],
+        "attacks": sorted(graph.attacks),
+        "sub_edges": sorted(graph.sub_edges),
     }
     _emit(_report("graph", path, body))
     return 0

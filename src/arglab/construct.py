@@ -59,7 +59,10 @@ def build_arguments(
 
 
 _HeadRules = List[List[Tuple[Rule, Tuple[int, ...]]]]
-_NO_ARGUMENTS: Tuple[Tuple[Argument, ...], int] = ((), 0)
+# the arguments for a head under some forbidden rules, their ids, and the
+# deepest nesting among them
+_Built = Tuple[Tuple[Argument, ...], Tuple[str, ...], int]
+_NO_ARGUMENTS: _Built = ((), (), 0)
 
 
 def _rules_below(rules: _HeadRules) -> List[FrozenSet[str]]:
@@ -101,12 +104,12 @@ class _ArgumentBuilder:
         self.max_args = max_args
         self.max_depth = max_depth
         self.found: Dict[str, Argument] = {}
-        self.memo: Dict[Tuple[int, FrozenSet[str]], Tuple[Tuple[Argument, ...], int]] = {}
+        self.memo: Dict[Tuple[int, FrozenSet[str]], _Built] = {}
 
-    def args_for(self, head: int, forbidden: FrozenSet[str]) -> Tuple[Tuple[Argument, ...], int]:
+    def args_for(self, head: int, forbidden: FrozenSet[str]) -> _Built:
         """The arguments for the head at position ``head`` using no rule in
-        ``forbidden``, and the deepest nesting among them (0 when there are
-        none)."""
+        ``forbidden``, their ids, and the deepest nesting among them (0 when
+        there are none)."""
         if head < 0:
             return _NO_ARGUMENTS
         key = (head, forbidden & self.below[head])
@@ -116,35 +119,40 @@ class _ArgumentBuilder:
         if len(forbidden) >= self.max_depth:
             raise self._too_deep()
         found = self.found
+        max_args = self.max_args
+        formed = Argument._formed
         out: List[Argument] = []
+        out_ids: List[str] = []
         deepest = 0
         for rule, body in self.rules[head]:
             if rule.id in forbidden:
                 continue
             blocked = forbidden | {rule.id}
-            child_choices = []
+            child_args = []
+            child_ids = []
             depth = 1
             for j in body:
-                args, below = self.args_for(j, blocked)
-                child_choices.append(args)
+                args, ids, below = self.args_for(j, blocked)
+                child_args.append(args)
+                child_ids.append(ids)
                 depth = max(depth, below + 1)
-            if not all(child_choices):
+            if not all(child_args):
                 continue
             if depth > self.max_depth:
                 raise self._too_deep()
             deepest = max(deepest, depth)
-            prefix = rule.id + "("
-            for combo in itertools.product(*child_choices):
-                cid = prefix + ",".join([c.canonical_id for c in combo]) + ")"
+            cids = map((rule.id + "({})").format, map(",".join, itertools.product(*child_ids)))
+            for combo, cid in zip(itertools.product(*child_args), cids):
                 arg = found.get(cid)
                 if arg is None:
-                    if len(found) >= self.max_args:
+                    if len(found) >= max_args:
                         raise CapExceededError(
-                            f"more than {self.max_args} arguments; raise the cap to continue"
+                            f"more than {max_args} arguments; raise the cap to continue"
                         )
-                    arg = found[cid] = Argument(rule.id, rule.head, combo, rule.body_naf)
+                    arg = found[cid] = formed(rule.id, rule.head, combo, rule.body_naf, cid)
                 out.append(arg)
-        result = self.memo[key] = (tuple(out), deepest)
+                out_ids.append(cid)
+        result = self.memo[key] = (tuple(out), tuple(out_ids), deepest)
         return result
 
     def _too_deep(self) -> CapExceededError:
@@ -168,39 +176,45 @@ def derive_attacks(
       (preference plays no role).
 
     So A's attackers are the direct attackers of its own top inference plus
-    the attackers of its direct subarguments.  Direct attackers are looked up
-    by conclusion, the attacker sets are propagated up the argument trees and
-    memoised per canonical id, children first, and subarguments missing from
-    ``arguments`` are walked all the same.
+    the attackers of its direct subarguments.  Direct attackers depend only on
+    the top rule, the conclusion and the naf premises: they are looked up by
+    conclusion once per distinct such triple, not per argument.  Attacker
+    sets are memoised per canonical id and built children first: in the order
+    of ``arguments`` when each argument's subarguments come before it, as
+    :func:`build_arguments` yields them, and otherwise by walking the missing
+    subarguments, whether they are in ``arguments`` or not.
     """
     rebutting: Dict[Literal, List[Literal]] = {}
     for attacking, attacked in close_conflicts(theory):
         rebutting.setdefault(attacked, []).append(attacking)
-    by_conclusion: Dict[Literal, List[Argument]] = {}
+    # literals as (atom, negated) pairs, which hash in C, unlike a Literal
+    by_conclusion: Dict[Tuple[str, bool], List[Argument]] = {}
     for arg in arguments.values():
-        by_conclusion.setdefault(arg.conclusion, []).append(arg)
+        by_conclusion.setdefault((arg.conclusion.atom, arg.conclusion.negated), []).append(arg)
+    blocking = theory.superiority if policy is PreferencePolicy.LAST_LINK else frozenset()
+    direct_memo: Dict[Tuple[str, str, bool, FrozenSet[Literal]], FrozenSet[str]] = {}
 
-    def preferred(x: Argument, y: Argument) -> bool:
-        if policy is PreferencePolicy.NONE:
-            return False
-        return (x.top_rule, y.top_rule) in theory.superiority
-
-    def direct(arg: Argument) -> Set[str]:
-        out = {
-            b.canonical_id
-            for premise in arg.naf_premises
-            for b in by_conclusion.get(premise, ())
-        }
-        for literal in rebutting.get(arg.conclusion, ()):
-            for b in by_conclusion.get(literal, ()):
-                if not preferred(arg, b):
-                    out.add(b.canonical_id)
+    def direct(arg: Argument) -> FrozenSet[str]:
+        """The direct attackers of ``arg``'s top inference."""
+        conclusion = arg.conclusion
+        key = (arg.top_rule, conclusion.atom, conclusion.negated, arg.naf_premises)
+        out = direct_memo.get(key)
+        if out is None:
+            found = {
+                b.canonical_id
+                for premise in arg.naf_premises
+                for b in by_conclusion.get((premise.atom, premise.negated), ())
+            }
+            for literal in rebutting.get(conclusion, ()):
+                for b in by_conclusion.get((literal.atom, literal.negated), ()):
+                    if (arg.top_rule, b.top_rule) not in blocking:
+                        found.add(b.canonical_id)
+            out = direct_memo[key] = frozenset(found)
         return out
 
-    # children before parents, on an explicit stack: no recursion to run out
-    # of, and no recursive closure to leave a reference cycle behind
-    memo: Dict[str, FrozenSet[str]] = {}
-    for target in arguments.values():
+    def walk(target: Argument) -> None:
+        # children before parents, on an explicit stack: no recursion to run
+        # out of, and no recursive closure to leave a reference cycle behind
         stack = [target]
         while stack:
             arg = stack[-1]
@@ -214,14 +228,25 @@ def derive_attacks(
             stack.pop()
             found = direct(arg)
             for child in arg.direct_subs:
-                found |= memo[child.canonical_id]
-            memo[arg.canonical_id] = frozenset(found)
+                found = found | memo[child.canonical_id]
+            memo[arg.canonical_id] = found
 
-    return frozenset(
-        (b, target.canonical_id)
-        for target in arguments.values()
-        for b in memo[target.canonical_id]
-    )
+    memo: Dict[str, FrozenSet[str]] = {}
+    targets = []
+    for target in arguments.values():
+        cid = target.canonical_id
+        targets.append(cid)
+        found = direct(target)
+        for child in target.direct_subs:
+            below = memo.get(child.canonical_id)
+            if below is None:  # a subargument not met yet
+                walk(target)
+                break
+            found = found | below
+        else:
+            memo[cid] = found
+    pairs = map(zip, map(memo.__getitem__, targets), map(itertools.repeat, targets))
+    return frozenset(itertools.chain.from_iterable(pairs))
 
 
 def build_graph(

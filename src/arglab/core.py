@@ -135,6 +135,27 @@ class Argument:
         cid = f"{self.top_rule}({','.join(s.canonical_id for s in self.direct_subs)})"
         object.__setattr__(self, "canonical_id", cid)
 
+    @classmethod
+    def _formed(
+        cls,
+        top_rule: str,
+        conclusion: Literal,
+        direct_subs: Tuple["Argument", ...],
+        naf_premises: FrozenSet[Literal],
+        canonical_id: str,
+    ) -> "Argument":
+        """The argument with these fields, ``canonical_id`` already formed by
+        the caller from the rule and the children's ids as ``__post_init__``
+        forms it; for a builder that forms each id to look it up first."""
+        arg = object.__new__(cls)
+        init = object.__setattr__
+        init(arg, "top_rule", top_rule)
+        init(arg, "conclusion", conclusion)
+        init(arg, "direct_subs", direct_subs)
+        init(arg, "naf_premises", naf_premises)
+        init(arg, "canonical_id", canonical_id)
+        return arg
+
     def subarguments(self) -> Iterator["Argument"]:
         """All subarguments, this argument included."""
         yield self

@@ -114,19 +114,32 @@ _json_scalars = (
 )
 
 
+@st.composite
+def _pair_rows(draw, children):
+    """Rows of two members, as attack and sub-edge pairs, the strings drawn
+    from a pool of at most three so that they repeat across rows; rows are
+    tuples or lists, and now and then a row has a member that is not a
+    string."""
+    member = st.sampled_from(draw(st.lists(_json_strings, min_size=1, max_size=3)))
+    pair = st.tuples(member, member)
+    mixed = st.tuples(member, children) | st.tuples(children, member)
+    return draw(st.lists(pair | pair.map(list) | mixed | mixed.map(list), max_size=8))
+
+
 def _json_containers(children):
     return (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
         | st.dictionaries(_json_strings, children, max_size=4)
-        # rows, as attack and sub-edge pairs, now and then with an empty
-        # row or a row that is not all strings
+        # rows, now and then with an empty row or a row that is not all
+        # strings
         | st.lists(
             st.tuples(_json_strings, _json_strings).map(list)
             | st.lists(_json_strings, max_size=3)
             | st.lists(children, min_size=1, max_size=2),
             max_size=4,
         )
+        | _pair_rows(children)
     )
 
 

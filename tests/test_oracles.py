@@ -51,6 +51,7 @@ from arglab import (
     OnOffCriterion,
     PLF,
     PreferencePolicy,
+    Rule,
     Semantics,
     StatementLabel,
     StatementScheme,
@@ -581,6 +582,67 @@ def test_derive_attacks_matches_triple_loop_on_partial_arguments(theory, policy,
     graph = capped_graph(theory, policy, max_args=60)
     kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
     arguments = {a: graph.arguments[a] for a in kept}
+    expect = triple_loop_attacks(theory, arguments, policy)
+    assert derive_attacks(theory, arguments, policy) == expect
+
+
+_HAND_LITERALS = [lit(t) for t in ("a", "-a", "b", "-b", "c")]
+
+
+@st.composite
+def shared_rule_arguments(draw):
+    """A theory of one fact per rule id, and hand-built arguments on it whose
+    top rules come from a pool of two ids: arguments sharing a top rule
+    differ in conclusion or naf premises, which the theory's rules never do.
+    Each parent has its own leaf, so every id is distinct."""
+    rule_ids = ["r", "s"]
+    leaves = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        rule_ids.append(f"p{i}")
+        leaves.append(Argument(f"p{i}", draw(st.sampled_from(_HAND_LITERALS))))
+    parents = [
+        Argument(
+            draw(st.sampled_from(["r", "s"])),
+            draw(st.sampled_from(_HAND_LITERALS)),
+            (leaf,),
+            frozenset(draw(st.sets(st.sampled_from(_HAND_LITERALS), max_size=2))),
+        )
+        for leaf in leaves
+    ]
+    rules = {rid: Rule(rid, (), frozenset(), _HAND_LITERALS[k % 5]) for k, rid in enumerate(rule_ids)}
+    pairs = st.tuples(st.sampled_from(rule_ids), st.sampled_from(rule_ids))
+    superiority = frozenset(draw(st.sets(pairs, max_size=4)))
+    arguments = {a.canonical_id: a for a in leaves + parents}
+    return DefeasibleTheory(rules, superiority=superiority), arguments
+
+
+def test_direct_attackers_depend_on_conclusion_and_naf_premises_not_only_the_rule():
+    """``r`` concludes ``a`` over one leaf and ``b`` over the other, and only
+    the second is undercut: a memo keyed by the rule id alone gives the two
+    the same attackers."""
+    leaf0, leaf1 = Argument("p0", lit("c")), Argument("p1", lit("c"))
+    theory = DefeasibleTheory({
+        "r": Rule("r", (), frozenset(), lit("a")),
+        "s": Rule("s", (), frozenset(), lit("-a")),
+        "p0": Rule("p0", (), frozenset(), lit("c")),
+        "p1": Rule("p1", (), frozenset(), lit("-b")),
+    })
+    arguments = {a.canonical_id: a for a in (
+        leaf0, leaf1, Argument("s", lit("-a")),
+        Argument("r", lit("a"), (leaf0,)),
+        Argument("r", lit("b"), (leaf1,), frozenset({lit("c")})),
+    )}
+    for policy in PreferencePolicy:
+        got = derive_attacks(theory, arguments, policy)
+        assert got == triple_loop_attacks(theory, arguments, policy)
+        assert ("s()", "r(p0())") in got and ("s()", "r(p1())") not in got
+        assert ("p0()", "r(p1())") in got and ("p0()", "r(p0())") not in got
+
+
+@given(shared_rule_arguments(), policies)
+@settings(max_examples=300, deadline=None)
+def test_derive_attacks_matches_triple_loop_on_arguments_sharing_a_rule(built, policy):
+    theory, arguments = built
     expect = triple_loop_attacks(theory, arguments, policy)
     assert derive_attacks(theory, arguments, policy) == expect
 
