@@ -43,7 +43,7 @@ def build_arguments(
     reachable from the literal through rule bodies), since nothing else can
     change its result; an acyclic theory walks each literal once.  An
     argument's id is formed from its rule and its children's ids, and the
-    argument is built only when the id is new.  Arguments are keyed in the
+    argument is built under that id only when the id is new.  Arguments are keyed in the
     order they are first found, children before their parents.
 
     Deep nesting is refused with CapExceededError, so that this walk and the
@@ -178,7 +178,8 @@ def derive_attacks(
     So A's attackers are the direct attackers of its own top inference plus
     the attackers of its direct subarguments.  Direct attackers depend only on
     the top rule, the conclusion and the naf premises: they are looked up by
-    conclusion once per distinct such triple, not per argument.  Attacker
+    conclusion once per distinct (top rule, conclusion, naf premises), not
+    once per argument.  Attacker
     sets are memoised per canonical id and built children first: in the order
     of ``arguments`` when each argument's subarguments come before it, as
     :func:`build_arguments` yields them, and otherwise by walking the missing
@@ -212,6 +213,8 @@ def derive_attacks(
             out = direct_memo[key] = frozenset(found)
         return out
 
+    memo: Dict[str, FrozenSet[str]] = {}
+
     def walk(target: Argument) -> None:
         # children before parents, on an explicit stack: no recursion to run
         # out of, and no recursive closure to leave a reference cycle behind
@@ -231,7 +234,6 @@ def derive_attacks(
                 found = found | memo[child.canonical_id]
             memo[arg.canonical_id] = found
 
-    memo: Dict[str, FrozenSet[str]] = {}
     targets = []
     for target in arguments.values():
         cid = target.canonical_id
