@@ -6,6 +6,7 @@ standard library is used directly, no wrapper type is needed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -190,7 +191,7 @@ class ArgumentationGraph:
 
     def __post_init__(self):
         known = self.arguments.keys()
-        for x, y in self.attacks | self.sub_edges:
+        for x, y in itertools.chain(self.attacks, self.sub_edges):
             if x not in known or y not in known:
                 raise ValueError(f"edge ({x}, {y}) mentions unknown argument")
         self._check_sub_acyclic()

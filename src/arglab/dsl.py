@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .core import ArgLabel, DefeasibleTheory, Literal, Rule
 from .errors import TheoryParseError
@@ -164,14 +164,16 @@ def serialize_theory(theory: DefeasibleTheory) -> str:
 # the key: ``rb1() : 1/2.``
 
 
-def _split_entry(stmt: str, lineno: int) -> Tuple[str, Fraction]:
-    if not stmt.endswith("."):
-        raise TheoryParseError("entry must end with '.'", lineno, len(stmt))
-    stmt = stmt[:-1]
-    if ":" not in stmt:
-        raise TheoryParseError("expected 'KEY : RATIONAL.'", lineno, 1)
-    key, value = stmt.rsplit(":", 1)
-    return key.strip(), parse_rational(value, lineno)
+def _entries(text: str) -> Iterator[Tuple[int, str, Fraction]]:
+    """Each entry's line number, its key, stripped, and its value."""
+    for lineno, stmt in _logical_lines(text):
+        if not stmt.endswith("."):
+            raise TheoryParseError("entry must end with '.'", lineno, len(stmt))
+        stmt = stmt[:-1]
+        if ":" not in stmt:
+            raise TheoryParseError("expected 'KEY : RATIONAL.'", lineno, 1)
+        key, value = stmt.rsplit(":", 1)
+        yield lineno, key.strip(), parse_rational(value, lineno)
 
 
 def _split_top(text: str) -> List[str]:
@@ -197,11 +199,7 @@ def _parse_id_set(text: str, lineno: int) -> FrozenSet[str]:
 
 def parse_subset_distribution(text: str) -> List[Tuple[FrozenSet[str], Fraction]]:
     """Entries keyed by id sets (rule ids, argument ids or believed sets)."""
-    out = []
-    for lineno, stmt in _logical_lines(text):
-        key, value = _split_entry(stmt, lineno)
-        out.append((_parse_id_set(key, lineno), value))
-    return out
+    return [(_parse_id_set(key, lineno), value) for lineno, key, value in _entries(text)]
 
 
 def _parse_assignment(text: str, lineno: int) -> Dict[str, ArgLabel]:
@@ -231,17 +229,12 @@ def parse_assignment_distribution(
 ) -> List[Tuple[Dict[str, ArgLabel], Fraction]]:
     """Entries keyed by label assignments; used for labelling distributions
     and for sublabelling weights."""
-    out = []
-    for lineno, stmt in _logical_lines(text):
-        key, value = _split_entry(stmt, lineno)
-        out.append((_parse_assignment(key, lineno), value))
-    return out
+    return [(_parse_assignment(key, lineno), value) for lineno, key, value in _entries(text)]
 
 
 def parse_argument_probabilities(text: str) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
-    for lineno, stmt in _logical_lines(text):
-        key, value = _split_entry(stmt, lineno)
+    for lineno, key, value in _entries(text):
         if key in out:
             raise TheoryParseError(f"duplicate entry for {key!r}", lineno, 1)
         out[key] = value

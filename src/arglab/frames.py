@@ -19,7 +19,9 @@ onto the components and no sublabelling weight is given; otherwise it is one
 factor, the whole graph.  Its tables are read per factor: an argument's row
 from its own factor, a statement's from the product of the factors holding
 its concluding arguments only.  Its ``probs``, the full product, is built
-only when read.
+only when read, and lists its labellings in the factors' product order, the
+first factor outermost; a statement's row lists its label sets in the order
+they first occur in that product.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -50,7 +52,6 @@ from typing import (
 )
 
 from .core import (
-    _LABEL_RANK,
     ArgLabel,
     ArgumentationGraph,
     DefeasibleTheory,
@@ -228,19 +229,13 @@ class _Factors:
     """A labelling distribution as a product of independent factors.
 
     Factor i is a distribution, ``dists[i]``, over label tuples at
-    ``positions[i]``, ascending positions in ``graph.ids()``.  A factor of
-    :func:`plf_with_semantics` also lists, in ``rows[i]``, the tuples of each
-    part of a support subgraph inside its component, and ``parts`` gives each
-    support subgraph's parts, in the subgraph distribution's order.  So a
-    product of factors can be listed in the order of the whole frame:
-    subgraph by subgraph, sorted within.  A factor read off whole labellings
-    has no rows: it is never multiplied.
+    ``positions[i]``, ascending positions in ``graph.ids()``.  A product of
+    factors lists its outcomes in :func:`itertools.product` order over the
+    factors' outcomes, the first factor outermost.
     """
 
     positions: Tuple[Tuple[int, ...], ...]
     dists: Tuple[Distribution, ...]
-    rows: Tuple[Mapping[FrozenSet[str], List[Tuple[ArgLabel, ...]]], ...] = ()
-    parts: List[Tuple[FrozenSet[str], ...]] = ()
 
     def joint(self, factors: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Distribution]:
         """The product of the given factors: its positions, ascending, and its
@@ -250,23 +245,10 @@ class _Factors:
         joined = [j for i in factors for j in self.positions[i]]
         order = sorted(range(len(joined)), key=joined.__getitem__)
         arrange = operator.itemgetter(*order)  # two or more positions: a tuple
-        nums = [self.dists[i].nums for i in factors]
-        pairs: List[Tuple[Tuple[ArgLabel, ...], int]] = []
-        seen = set()
-        for part in self.parts:
-            key = tuple(part[i] for i in factors)
-            if key in seen:
-                continue
-            seen.add(key)
-            choices = [
-                [(t, n[t]) for t in self.rows[i][r]] for i, n, r in zip(factors, nums, key)
-            ]
-            block = [
-                (arrange(sum((t for t, _ in combo), ())), math.prod(n for _, n in combo))
-                for combo in itertools.product(*choices)
-            ]
-            block.sort(key=lambda pair: tuple(map(_LABEL_RANK.__getitem__, pair[0])))
-            pairs += block
+        pairs = (
+            (arrange(sum((t for t, _ in combo), ())), math.prod(n for _, n in combo))
+            for combo in itertools.product(*(self.dists[i].nums.items() for i in factors))
+        )
         den = math.prod(self.dists[i].den for i in factors)
         return tuple(joined[k] for k in order), Distribution(den, pairs)
 
@@ -277,7 +259,8 @@ class PLF(_Frame):
     ``PLF(graph, spec, probs)`` checks ``probs`` and reads its tables off it,
     as one factor over the whole graph.  :func:`plf_with_semantics` builds a
     frame from independent factors instead: its tables are read factor by
-    factor, and ``probs``, their product, is built when first read.
+    factor, and ``probs``, their product in :func:`itertools.product` order
+    with the first factor outermost, is built when first read.
     """
 
     def __init__(self, graph: ArgumentationGraph, spec: LabellingSpec,
@@ -588,10 +571,11 @@ def plf_with_semantics(
     the whole graph.  A factor labels each distinct part of a support
     subgraph inside its component once, and splits uniformly among its
     labellings.  No labels cross a component, so the product is the frame
-    above.  The admissibility test and the enumeration cap still apply to
-    each whole support subgraph, in the distribution's order, and the
-    subgraph named for having no labelling is the first with a part that has
-    none.
+    above, its labellings listed in the factors' product order, the first
+    factor outermost.  The admissibility test and the enumeration cap still
+    apply to each whole support subgraph, in the distribution's order, and
+    the subgraph named for having no labelling is the first with a part that
+    has none.
     """
     weights = weights or SublabellingWeights()
     graph = pgf.graph
@@ -630,9 +614,7 @@ def plf_with_semantics(
             (t, margin.nums[r] * w.numerator * (m // w.denominator))
             for r, (cut, ws) in seen.items() for t, w in zip(cut, ws)
         )))
-    rows = tuple({r: cut for r, (cut, _) in seen.items()} for seen in labelled)
-    factors = _Factors(tuple(components), tuple(dists), rows, parts)
-    return PLF._of_factors(graph, spec, factors)
+    return PLF._of_factors(graph, spec, _Factors(tuple(components), tuple(dists)))
 
 
 def pef_from_plf(plf: PLF) -> PEF:

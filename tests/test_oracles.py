@@ -1051,7 +1051,8 @@ def sublabelling_weights(draw, pgf, semantics):
 @given(abstract_graphs(max_args=5), st.sampled_from(list(Semantics)), st.data())
 @settings(max_examples=200, deadline=None)
 def test_plf_with_semantics_matches_fraction_products(graph, semantics, data):
-    """Outcome for outcome, in order and typed ``Fraction``; or both refuse."""
+    """Outcome for outcome as a mapping, each typed ``Fraction``, and the
+    statement rows in the order of the frame's own ``probs``; or both refuse."""
     pgf = PGF(graph, data.draw(distributions(st.frozensets(st.sampled_from(graph.ids())))))
     weights = data.draw(sublabelling_weights(pgf, semantics))
     got = _outcome(lambda: plf_with_semantics(pgf, semantics, weights))
@@ -1059,7 +1060,10 @@ def test_plf_with_semantics_matches_fraction_products(graph, semantics, data):
     event(f"{got[0]} with {'weights' if weights.entries else 'no weights'}")
     assert got[0] == expect[0]
     if got[0] == "accepted":
-        assert _typed(got[1].probs) == [(l, F, p) for l, p in expect[1].items()]
+        plf = got[1]
+        assert plf.probs == expect[1]
+        assert all(type(p) is F for p in plf.probs.values())
+        assert _rows(plf.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(plf))
 
 
 def _frame_or_error(call):
@@ -1070,16 +1074,20 @@ def _frame_or_error(call):
 
 
 def _assert_same_frame(got, expect):
-    """Both refuse alike, or the frames agree: the tables row for row against
-    folds of the reference's support, then ``probs`` outcome for outcome, in
-    order, and the support order."""
+    """Both refuse alike, or the frames agree: the argument rows, in order,
+    against folds of the reference's ``probs``; the statement rows, in order,
+    against folds of the frame's own ``probs`` and, as mappings, against the
+    reference's; ``probs`` as a mapping of ``Fraction``s; and the support
+    order."""
     assert type(got) is type(expect)
     if not isinstance(expect, PLF):
         assert got == expect
         return
     assert _rows(got.marginals) == _rows(fraction_marginals(expect))
-    assert _rows(got.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(expect))
-    assert _typed(got.probs) == _typed(expect.probs)
+    assert _rows(got.conclusion_label_sets) == _rows(fraction_conclusion_label_sets(got))
+    assert got.conclusion_label_sets == fraction_conclusion_label_sets(expect)
+    assert got.probs == expect.probs
+    assert all(type(p) is F for p in got.probs.values())
     assert got.support() == expect.support()
 
 
@@ -1175,3 +1183,22 @@ def test_three_pair_frame_matches_full_product():
         got = plf_with_semantics(pgf, semantics)
         assert len(got._factors.dists) == 3
         _assert_same_frame(got, full_plf_with_semantics(pgf, semantics))
+
+
+def test_factored_frame_lists_the_product_of_its_factors():
+    """``probs`` is the product of the factors, factor 0 outermost, the same
+    on every build; the row of ``z``, over two factors, lists its label sets
+    in the order they first occur in that product."""
+    pgf = pairs_pgf(3)
+    for semantics in Semantics:
+        plf = plf_with_semantics(pgf, semantics)
+        positions = [j for block in plf._factors.positions for j in block]
+        expect = []
+        for combo in itertools.product(*plf._factors.dists):
+            labels = [l for _, l in sorted(zip(positions, itertools.chain(*combo)))]
+            expect.append(Labelling.over(plf.graph, plf.spec.label_set, labels))
+        assert list(plf.probs) == expect
+        assert _typed(plf_with_semantics(pgf, semantics).probs) == _typed(plf.probs)
+        z = [a for a, arg in plf.graph.arguments.items() if arg.conclusion == lit("z")]
+        seen = dict.fromkeys(frozenset(l.label(a) for a in z) for l in expect)
+        assert list(plf.conclusion_label_sets[lit("z")]) == list(seen)
