@@ -15,7 +15,12 @@ uncertain rules, one more than the ``independent`` frame takes.  ``twin.dl``
 has two graph components, a mutual attack and the shape of ``legal.dl``, on
 disjoint uncertain rules, with a statement ``c`` concluded in both;
 ``twin.pag`` is a frame over its arguments, and ``twin.weights`` splits the
-mutual attack's labellings unevenly and gives the others weight 0.
+mutual attack's labellings unevenly and gives the others weight 0;
+``twin.pgf`` is a correlated subgraph distribution over its arguments, not
+the product of its parts in the two components.  ``shared.dl`` uses one
+uncertain rule, ``r``, in two components, beside a mutual attack whose
+argument ``np()`` is uncertain: ``a`` is IN with probability 1/2, where the
+product of its two components' margins would give 7/12.
 ``layered.dl`` is ``tests/generators.layered_theory(2, 5)``: 67 arguments
 with long shared-prefix ids, rebuttals and undercuts reaching every argument
 built on top (171 attacks under last-link, 246 without preferences), and 60
@@ -140,6 +145,14 @@ def cases():
         out.append((f"twin-pag-check-{semantics}", ["check", *common]))
     # exit 3: each component has at most 7 arguments, some subgraphs 8 or more
     out.append(("twin-marginal-cap", ["marginal", "twin.dl", "--max-args-enum", "7"]))
+    # subgraph distributions that are not the product of their components' parts
+    for semantics in ("grounded", "preferred"):
+        out.append((f"twin-marginal-pgf-{semantics}",
+                    ["marginal", "twin.dl", "--frame", "pgf:twin.pgf", "--semantics", semantics]))
+        out.append((f"shared-marginal-{semantics}",
+                    ["marginal", "shared.dl", "--semantics", semantics]))
+    out.append(("twin-check-pgf", ["check", "twin.dl", "--frame", "pgf:twin.pgf"]))
+    out.append(("shared-check", ["check", "shared.dl"]))
     return out
 
 
