@@ -258,10 +258,10 @@ def build_graph(
 ) -> ArgumentationGraph:
     arguments = build_arguments(theory, max_args=max_args)
     attacks = derive_attacks(theory, arguments, policy=policy)
+    # one pair per edge from a list comprehension: most arguments have one
+    # child, so a zip and a repeat per argument would cost more than they save
     sub_edges = frozenset(
-        (child.canonical_id, arg.canonical_id)
-        for arg in arguments.values()
-        for child in arg.direct_subs
+        [(child.canonical_id, a) for a, arg in arguments.items() for child in arg.direct_subs]
     )
     return ArgumentationGraph(arguments, attacks, sub_edges)
 

@@ -12,16 +12,16 @@ tables, read column by column (each labelling lists its labels in
 ``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
-A labelling frame built by :func:`plf_with_semantics` is a product of
-factors, one per connected component of the graph's attacks and sub-edges,
-when the subgraph distribution is exactly the product of its pushforwards
-onto the components and no sublabelling weight is given; otherwise it is one
-factor, the whole graph.  Its tables are read per factor: an argument's row
-from its own factor, a statement's from the product of the factors holding
-its concluding arguments only.  Its ``probs``, the full product, is built
-only when read, and lists its labellings in the factors' product order, the
-first factor outermost; a statement's row lists its label sets in the order
-they first occur in that product.
+A labelling frame built by :func:`plf_with_semantics` has one factor per
+connected component of the graph's attacks and sub-edges, unless a
+sublabelling weight is given: no label crosses a component, so a subgraph's
+labellings are the product of its parts' labellings inside the components.
+Its tables are read per factor: an argument's row from its own factor, a
+statement's from the factors holding its concluding arguments only.  Its
+``probs`` is built only when read.  It lists the labellings subgraph by
+subgraph, in the subgraph distribution's order, and each subgraph's in the
+product order of its parts' labellings, the first factor outermost.  A
+statement's row lists its label sets in the order they first occur there.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -226,30 +226,50 @@ class PGF(_Frame):
 
 @dataclass(frozen=True)
 class _Factors:
-    """A labelling distribution as a product of independent factors.
+    """A labelling distribution split over blocks of arguments.
 
-    Factor i is a distribution, ``dists[i]``, over label tuples at
-    ``positions[i]``, ascending positions in ``graph.ids()``.  A product of
-    factors lists its outcomes in :func:`itertools.product` order over the
-    factors' outcomes, the first factor outermost.
+    Factor i labels the arguments at ``positions[i]``, ascending positions in
+    ``graph.ids()``.  ``source`` is a distribution over tuples of parts, one
+    part per factor.  ``kernels[i]`` maps each part of factor i to its label
+    tuples at ``positions[i]``, each with a numerator over ``scales[i]``.
     """
 
     positions: Tuple[Tuple[int, ...], ...]
-    dists: Tuple[Distribution, ...]
+    source: Distribution
+    kernels: Tuple[Mapping[Hashable, Tuple[Tuple[Tuple[ArgLabel, ...], int], ...]], ...]
+    scales: Tuple[int, ...]
+
+    @cached_property
+    def dists(self) -> Tuple[Distribution, ...]:
+        """Each factor's distribution over its label tuples: its margin of
+        ``source`` pushed through its kernel."""
+        dists = []
+        for i, (kernel, scale) in enumerate(zip(self.kernels, self.scales)):
+            margin = self.source.along(parts[i] for parts in self.source.nums)
+            dists.append(Distribution(margin.den * scale, (
+                (t, n * w) for r, n in margin.nums.items() for t, w in kernel[r]
+            )))
+        return tuple(dists)
 
     def joint(self, factors: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Distribution]:
-        """The product of the given factors: its positions, ascending, and its
-        distribution over label tuples at them."""
+        """The given factors together: their positions, ascending, and the
+        distribution over label tuples at them.  ``source`` is pushed onto the
+        factors' parts, and each combination, in the order it first occurs
+        there, expands into the product of its parts' label tuples, the first
+        factor outermost."""
         if len(factors) == 1:
             return self.positions[factors[0]], self.dists[factors[0]]
         joined = [j for i in factors for j in self.positions[i]]
         order = sorted(range(len(joined)), key=joined.__getitem__)
         arrange = operator.itemgetter(*order)  # two or more positions: a tuple
+        combos = self.source.map(operator.itemgetter(*factors))
+        kernels = [self.kernels[i] for i in factors]
         pairs = (
-            (arrange(sum((t for t, _ in combo), ())), math.prod(n for _, n in combo))
-            for combo in itertools.product(*(self.dists[i].nums.items() for i in factors))
+            (arrange(sum((t for t, _ in combo), ())), n * math.prod(w for _, w in combo))
+            for parts, n in combos.nums.items()
+            for combo in itertools.product(*(k[r] for k, r in zip(kernels, parts)))
         )
-        den = math.prod(self.dists[i].den for i in factors)
+        den = combos.den * math.prod(self.scales[i] for i in factors)
         return tuple(joined[k] for k in order), Distribution(den, pairs)
 
 
@@ -258,9 +278,8 @@ class PLF(_Frame):
 
     ``PLF(graph, spec, probs)`` checks ``probs`` and reads its tables off it,
     as one factor over the whole graph.  :func:`plf_with_semantics` builds a
-    frame from independent factors instead: its tables are read factor by
-    factor, and ``probs``, their product in :func:`itertools.product` order
-    with the first factor outermost, is built when first read.
+    frame from factors instead: its tables are read factor by factor, and
+    ``probs`` is built when first read.
     """
 
     def __init__(self, graph: ArgumentationGraph, spec: LabellingSpec,
@@ -287,16 +306,18 @@ class PLF(_Frame):
 
     @cached_property
     def probs(self) -> Distribution:
-        """The product of the factors, each outcome a labelling."""
+        """Every factor together, each outcome a labelling."""
         label_set, ids = self.spec.label_set, self.graph.ids()
         _, joint = self._factors.joint(tuple(range(len(self._factors.dists))))
         return joint.map(lambda labels: Labelling(label_set, ids, labels))
 
     @cached_property
     def _factors(self) -> _Factors:
-        """``probs`` as one factor over every argument."""
+        """``probs`` as one factor over every argument, each labelling its own part."""
         every = tuple(range(len(self.graph.ids())))
-        return _Factors((every,), (self.probs.map(lambda l: l.labels),))
+        labels = [l.labels for l in self.probs]
+        kernel = {t: ((t, 1),) for t in labels}
+        return _Factors((every,), self.probs.along((t,) for t in labels), (kernel,), (1,))
 
     def support(self) -> List[Labelling]:
         return sorted(self.probs, key=Labelling.sort_key)
@@ -316,8 +337,8 @@ class PLF(_Frame):
         the arguments concluding it carry together.
 
         Statement labels depend on that set alone, so one table serves every
-        statement, label and scheme.  A statement's row multiplies only the
-        factors holding its concluding arguments, and pushes their product
+        statement, label and scheme.  A statement's row joins only the
+        factors holding its concluding arguments, and pushes their joint
         forward onto the sets of those arguments' labels.
         """
         factors = self._factors
@@ -517,35 +538,6 @@ def _components(graph: ArgumentationGraph) -> List[Tuple[int, ...]]:
     return [tuple(j for j in range(len(ids)) if component >> j & 1) for component in found]
 
 
-def _split(
-    pgf: PGF, components: List[Tuple[int, ...]]
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[FrozenSet[str], ...]], List[Distribution]]:
-    """The components to factor over, each support subgraph's parts inside
-    them, and the subgraph distribution pushed forward onto each.
-
-    The components are kept only when ``pgf.probs`` is exactly the product of
-    those pushforwards: as many subgraphs as the pushforwards' supports
-    multiply to, and each numerator times the pushforwards' denominators equal
-    to the denominator times the numerators of the subgraph's parts.
-    Otherwise there is one component, the whole graph, and one part per
-    subgraph, itself.
-    """
-    probs = pgf.probs
-    if len(components) > 1:
-        ids = pgf.graph.ids()
-        sets = [frozenset(ids[j] for j in positions) for positions in components]
-        parts = [tuple(s & c for c in sets) for s in probs.nums]
-        margins = [probs.along(part[i] for part in parts) for i in range(len(sets))]
-        dens = probs.den ** len(margins)
-        if len(probs) == math.prod(map(len, margins)) and all(
-            n * dens == probs.den * math.prod(m.nums[r] for m, r in zip(margins, part))
-            for n, part in zip(probs.nums.values(), parts)
-        ):
-            return components, parts, margins
-    every = tuple(range(len(pgf.graph.ids())))
-    return [every], [(s,) for s in probs.nums], [probs]
-
-
 def plf_with_semantics(
     pgf: PGF,
     semantics: Semantics,
@@ -564,18 +556,17 @@ def plf_with_semantics(
     no stable one), or a weight entry naming an argument outside the graph,
     raises DistributionError.
 
-    The frame is a product of factors, one per connected component of the
-    attacks and sub-edges, when the subgraph distribution is the product of
-    its pushforwards onto the components and no weight entry is given
-    (weights are summed per whole labelling).  Otherwise it is one factor,
-    the whole graph.  A factor labels each distinct part of a support
-    subgraph inside its component once, and splits uniformly among its
-    labellings.  No labels cross a component, so the product is the frame
-    above, its labellings listed in the factors' product order, the first
-    factor outermost.  The admissibility test and the enumeration cap still
-    apply to each whole support subgraph, in the distribution's order, and
-    the subgraph named for having no labelling is the first with a part that
-    has none.
+    The frame has one factor per connected component of the attacks and
+    sub-edges, unless a weight entry is given (weights are summed per whole
+    labelling) or there are fewer than two components: then it has one, the
+    whole graph.  A factor labels each distinct part of a support subgraph
+    inside its component once, and splits uniformly among its labellings.
+    No label crosses a component, so each subgraph's labellings are the
+    product of its parts', and the frame keeps the subgraph distribution
+    keyed by each subgraph's parts.  The admissibility test and the
+    enumeration cap still apply to each whole support subgraph, in the
+    distribution's order, and the subgraph named for having no labelling is
+    the first with a part that has none.
     """
     weights = weights or SublabellingWeights()
     graph = pgf.graph
@@ -585,9 +576,13 @@ def plf_with_semantics(
         raise DistributionError(f"weights name unknown arguments {unknown}")
     admit = is_legal if legal_only else is_subargument_complete
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
-    components, parts, margins = _split(pgf, [] if weights.entries else _components(graph))
-    # per component, each distinct part's label tuples inside it and their weights
-    labelled: List[Dict[FrozenSet[str], Tuple[List[Tuple[ArgLabel, ...]], List[Fraction]]]] = [
+    ids = graph.ids()
+    # weights are summed per whole labelling: with them, one factor
+    components = [tuple(range(len(ids)))] if weights.entries or not ids else _components(graph)
+    blocks = [frozenset(ids[j] for j in positions) for positions in components]
+    parts = [tuple(subset & block for block in blocks) for subset in pgf.probs.nums]
+    # per component, each distinct part's label tuples inside it with their weights
+    labelled: List[Dict[FrozenSet[str], Tuple[Tuple[Tuple[ArgLabel, ...], Fraction], ...]]] = [
         {} for _ in components
     ]
     for subset, part in zip(pgf.probs.nums, parts):
@@ -598,23 +593,25 @@ def plf_with_semantics(
         for positions, seen, r in zip(components, labelled, part):
             if r not in seen:
                 inner = subgraph_labellings(graph, r, semantics, max_args)
-                if len(positions) == len(graph.ids()):
+                if len(positions) == len(ids):
                     cut = [l.labels for l in inner]
                 else:
                     cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
-                seen[r] = cut, weights.weights_for(inner)
-            if not seen[r][0]:
+                seen[r] = tuple(zip(cut, weights.weights_for(inner)))
+            if not seen[r]:
                 raise DistributionError(
                     f"subgraph {sorted(subset)} has no {semantics.value} labelling"
                 )
-    dists = []
-    for margin, seen in zip(margins, labelled):
-        m = math.lcm(*(w.denominator for _, ws in seen.values() for w in ws))
-        dists.append(Distribution(margin.den * m, (
-            (t, margin.nums[r] * w.numerator * (m // w.denominator))
-            for r, (cut, ws) in seen.items() for t, w in zip(cut, ws)
-        )))
-    return PLF._of_factors(graph, spec, _Factors(tuple(components), tuple(dists)))
+    kernels, scales = [], []
+    for seen in labelled:
+        m = math.lcm(*(w.denominator for pairs in seen.values() for _, w in pairs))
+        kernels.append({
+            r: tuple((t, w.numerator * (m // w.denominator)) for t, w in pairs)
+            for r, pairs in seen.items()
+        })
+        scales.append(m)
+    factors = _Factors(tuple(components), pgf.probs.along(parts), tuple(kernels), tuple(scales))
+    return PLF._of_factors(graph, spec, factors)
 
 
 def pef_from_plf(plf: PLF) -> PEF:

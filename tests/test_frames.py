@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from arglab import (
     CapExceededError,
     DistributionError,
     Semantics,
+    StatementLabel,
     SublabellingWeights,
     argument_label_probability,
     extension_probability,
+    lit,
     pag_to_pgf,
     parse_theory,
     pef_from_plf,
@@ -27,6 +30,7 @@ from arglab import (
     plf_from_pgf,
     plf_with_semantics,
     ptf_independent,
+    statement_marginal,
 )
 from arglab.construct import is_legal
 from strategies import capped_graph, distributions, theories
@@ -34,6 +38,7 @@ from strategies import capped_graph, distributions, theories
 from conftest import A_B, A_B1, A_B2, A_C, A_D, C_A, C_AB, C_ABC, C_B, C_BC
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fs(*ids):
@@ -321,3 +326,21 @@ def test_distribution_probabilities_are_exact(mutual_graph):
     ptf = PTF(theory, {fs("r1"): 1, fs(): 0})
     assert dict(ptf.probs) == {fs("r1"): F(1)}
     assert type(ptf.probs[fs("r1")]) is Fraction
+
+
+def test_rule_used_in_two_components_is_read_off_the_subgraph_distribution():
+    """In ``shared.dl`` the uncertain rule ``r`` builds ``r(rb1())`` and
+    ``r(rb2())``, in two components, so the subgraph distribution is not the
+    product of its parts.  The frame still has one factor per component, and
+    ``a`` is IN exactly when ``r`` is present, 1/2: multiplying the two
+    factors holding its arguments would give 1 - (1 - 1/6)(1 - 1/2) = 7/12."""
+    pgf = pgf_from_ptf(ptf_independent(parse_theory((GOLDEN / "shared.dl").read_text())))
+    for semantics in (Semantics.GROUNDED, Semantics.PREFERRED):
+        plf = plf_with_semantics(pgf, semantics)
+        ids = plf.graph.ids()
+        factors = [{ids[j] for j in positions} for positions in plf._factors.positions]
+        assert factors == [{"np()", "nq()"}, {"r(rb1())", "rb1()"}, {"r(rb2())", "rb2()"}]
+        assert statement_marginal(plf, lit("a"))[StatementLabel.IN] == F(1, 2)
+        p1, p2 = (plf.marginals[a][ArgLabel.IN] for a in ("r(rb1())", "r(rb2())"))
+        assert (p1, p2) == (F(1, 6), F(1, 2))
+        assert 1 - (1 - p1) * (1 - p2) == F(7, 12)

@@ -1100,11 +1100,17 @@ def _factor_sets(plf):
        st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_factored_frame_matches_full_product(theory, policy, semantics, legal_only, data):
-    """``independent`` and ``pag:`` frames over two theories side by side, with
-    weights that sometimes apply and a cap that sometimes stops a subgraph."""
+    """``independent``, drawn ``ptf:`` and ``pag:`` frames over two theories
+    side by side, with weights that sometimes apply and a cap that sometimes
+    stops a subgraph.  A drawn rule-subset distribution is seldom the product
+    of its pushforwards onto the components."""
     graph = capped_graph(theory, policy, max_args=8)
-    if data.draw(st.booleans()):
+    source = data.draw(st.sampled_from(["independent", "ptf", "pag"]))
+    if source == "independent":
         pgf = pgf_from_ptf(ptf_independent(theory), policy=policy)
+    elif source == "ptf":
+        rule_subsets = st.frozensets(st.sampled_from(sorted(theory.rules)))
+        pgf = pgf_from_ptf(PTF(theory, data.draw(distributions(rule_subsets, 4))), policy=policy)
     else:
         graph = graph.without_sub_edges()
         pgf = pag_to_pgf(PAG(graph, {a: data.draw(probabilities) for a in graph.ids()}))
@@ -1117,8 +1123,10 @@ def test_factored_frame_matches_full_product(theory, policy, semantics, legal_on
     _assert_same_frame(got, expect)
     if isinstance(got, PLF):
         blocks = graph_components(graph)
-        factored = len(blocks) > 1 and not weights.entries and is_product(pgf.probs, blocks)
-        event(f"{len(blocks) if factored else 1} factors")
+        factored = len(blocks) > 1 and not weights.entries
+        if source == "ptf" and factored:
+            event("ptf: " + ("product" if is_product(pgf.probs, blocks) else "not a product"))
+        event(f"{source}: {len(blocks) if factored else 1} factors")
         assert _factor_sets(got) == (blocks if factored else [frozenset(graph.ids())])
     else:
         event(got[0].__name__)
@@ -1126,22 +1134,22 @@ def test_factored_frame_matches_full_product(theory, policy, semantics, legal_on
 
 @given(theories(max_rules=3, union=True), policies, st.sampled_from(list(Semantics)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_frame_over_a_drawn_distribution_factors_only_when_it_is_a_product(
+def test_frame_over_a_drawn_distribution_factors_over_the_components(
     theory, policy, semantics, data
 ):
     """A drawn subgraph distribution is seldom the product of its parts' over
-    the components: then the frame is one factor, and still the same frame."""
+    the components: the frame still has one factor per component, and is
+    still the same frame."""
     graph = capped_graph(theory, policy, max_args=8).without_sub_edges()
     blocks = graph_components(graph)
     if len(blocks) < 2:
         reject()
     pgf = PGF(graph, data.draw(distributions(st.frozensets(st.sampled_from(graph.ids())), 6)))
-    product = is_product(pgf.probs, blocks)
-    event("product" if product else "not a product")
+    event("product" if is_product(pgf.probs, blocks) else "not a product")
     got = _frame_or_error(lambda: plf_with_semantics(pgf, semantics))
     _assert_same_frame(got, _frame_or_error(lambda: full_plf_with_semantics(pgf, semantics)))
     if isinstance(got, PLF):
-        assert _factor_sets(got) == (blocks if product else [frozenset(graph.ids())])
+        assert _factor_sets(got) == blocks
 
 
 def pairs_pgf(n):
@@ -1185,18 +1193,24 @@ def test_three_pair_frame_matches_full_product():
         _assert_same_frame(got, full_plf_with_semantics(pgf, semantics))
 
 
-def test_factored_frame_lists_the_product_of_its_factors():
-    """``probs`` is the product of the factors, factor 0 outermost, the same
-    on every build; the row of ``z``, over two factors, lists its label sets
-    in the order they first occur in that product."""
+def test_factored_frame_lists_each_subgraph_as_the_product_of_its_parts():
+    """``probs`` lists the subgraphs in the subgraph distribution's order, and
+    each subgraph's labellings in the product order of its parts' labellings
+    inside the components, the first component outermost, the same on every
+    build; the row of ``z``, over two factors, lists its label sets in the
+    order they first occur there."""
     pgf = pairs_pgf(3)
+    graph = pgf.graph
+    blocks = graph_components(graph)
+    owner = {a: i for i, block in enumerate(blocks) for a in block}
     for semantics in Semantics:
         plf = plf_with_semantics(pgf, semantics)
-        positions = [j for block in plf._factors.positions for j in block]
         expect = []
-        for combo in itertools.product(*plf._factors.dists):
-            labels = [l for _, l in sorted(zip(positions, itertools.chain(*combo)))]
-            expect.append(Labelling.over(plf.graph, plf.spec.label_set, labels))
+        for subset in pgf.probs:
+            inner = [subgraph_labellings(graph, subset & block, semantics, 16) for block in blocks]
+            for combo in itertools.product(*inner):
+                labels = [combo[owner[a]].label(a) for a in graph.ids()]
+                expect.append(Labelling.over(graph, plf.spec.label_set, labels))
         assert list(plf.probs) == expect
         assert _typed(plf_with_semantics(pgf, semantics).probs) == _typed(plf.probs)
         z = [a for a, arg in plf.graph.arguments.items() if arg.conclusion == lit("z")]
