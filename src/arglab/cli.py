@@ -1,8 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 parse or validation error, 3 resource cap exceeded,
-4 property violation.  All reports are JSON with a ``schema`` version and a
-sha256 digest of the input theory file; rationals are emitted exactly as
+4 property violation.  ``main`` reads the theory file once, as bytes, and
+parses the theory from them; each subcommand maps the arguments and the
+theory to a report body and an exit code, and ``main`` writes every report's
+header: the ``schema`` version, the command, the input path and the sha256
+digest of the bytes read.  Rationals are emitted exactly as
 numerator/denominator plus a rounded decimal for readability.
 """
 
@@ -59,6 +62,8 @@ from .semantics import (
 )
 
 SCHEMA = 1
+# a subcommand's report body, None when it wrote its output itself, and its exit code
+Result = Tuple[Optional[Dict[str, object]], int]
 
 # --semantics and --max-args-enum have no parser default, so that a labelled
 # file frame can tell whether they were given; these values apply when not
@@ -81,21 +86,6 @@ def _rational(q: Fraction) -> Dict[str, object]:
         Decimal("0.000001"), rounding=ROUND_HALF_EVEN
     )
     return {"num": q.numerator, "den": q.denominator, "approx": str(approx)}
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _report(command: str, path: Path, body: Dict[str, object]) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "schema": SCHEMA,
-        "command": command,
-        "input": str(path),
-        "input_digest": _digest(path),
-    }
-    out.update(body)
-    return out
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -189,10 +179,6 @@ def _emit(report: Dict[str, object]) -> None:
 
 def _labelling_json(labelling: Labelling) -> Dict[str, str]:
     return {a: l.value for a, l in labelling.entries}
-
-
-def _load_theory(path: Path):
-    return parse_theory(path.read_text())
 
 
 def _load_weights(path: Optional[str]) -> Optional[SublabellingWeights]:
@@ -299,10 +285,9 @@ def _check_labellings(plf: PLF, semantics: Semantics, max_args: int) -> None:
             )
 
 
-def cmd_args(args) -> int:
-    path = Path(args.file)
-    graph = _load_graph(args, _load_theory(path))
-    body = {
+def cmd_args(args, theory) -> Result:
+    graph = _load_graph(args, theory)
+    return {
         "arguments": [
             {
                 "id": a,
@@ -312,51 +297,43 @@ def cmd_args(args) -> int:
             }
             for a in graph.ids()
         ]
-    }
-    _emit(_report("args", path, body))
-    return 0
+    }, 0
 
 
-def cmd_graph(args) -> int:
-    path = Path(args.file)
-    graph = _load_graph(args, _load_theory(path))
+def cmd_graph(args, theory) -> Result:
+    graph = _load_graph(args, theory)
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
-        return 0
-    body = {
+        return None, 0
+    return {
         "arguments": graph.ids(),
         "attacks": sorted(graph.attacks),
         "sub_edges": sorted(graph.sub_edges),
-    }
-    _emit(_report("graph", path, body))
-    return 0
+    }, 0
 
 
-def cmd_label(args) -> int:
-    path = Path(args.file)
-    graph = _load_graph(args, _load_theory(path))
+def cmd_label(args, theory) -> Result:
+    graph = _load_graph(args, theory)
     spec = LabellingSpec(
         _LABEL_SETS[args.labels],
         semantics=Semantics(_option(args, "semantics")),
         legal_only=args.legal_only,
     )
     result = labellings(graph, spec, max_args=_option(args, "max_args_enum"))
-    body = {
+    return {
         "semantics": spec.semantics.value,
         "labels": args.labels,
         "labellings": [_labelling_json(l) for l in result],
-    }
-    _emit(_report("label", path, body))
-    return 0
+    }, 0
 
 
 def _marginal_body(args, plf: PLF) -> Dict[str, object]:
     scheme = StatementScheme(args.scheme)
     target = args.target
     graph = plf.graph
+    labels = sorted(plf.spec.label_set.labels, key=lambda l: l.rank)
 
     def arg_entry(arg_id: str) -> Dict[str, object]:
-        labels = sorted(plf.spec.label_set.labels, key=lambda l: l.rank)
         return {
             "id": arg_id,
             "labels": {l.value: _rational(argument_label_probability(plf, arg_id, l)) for l in labels},
@@ -392,21 +369,15 @@ def _semantics_field(plf: PLF) -> Optional[str]:
     return plf.spec.semantics.value if plf.spec.semantics is not None else None
 
 
-def cmd_marginal(args) -> int:
-    path = Path(args.file)
-    plf = _build_plf(args, _load_theory(path))
-    body = {"frame": args.frame, "semantics": _semantics_field(plf)}
-    body.update(_marginal_body(args, plf))
-    _emit(_report("marginal", path, body))
-    return 0
+def cmd_marginal(args, theory) -> Result:
+    plf = _build_plf(args, theory)
+    return {"frame": args.frame, "semantics": _semantics_field(plf), **_marginal_body(args, plf)}, 0
 
 
-def cmd_check(args) -> int:
-    path = Path(args.file)
-    theory = _load_theory(path)
+def cmd_check(args, theory) -> Result:
     plf = _build_plf(args, theory)
     report = check_properties(plf, theory)
-    body = {
+    return {
         "frame": args.frame,
         "semantics": _semantics_field(plf),
         "ok": report.ok,
@@ -414,9 +385,7 @@ def cmd_check(args) -> int:
         "justification": {
             a: justification_from_plf(plf, a).value for a in plf.graph.ids()
         },
-    }
-    _emit(_report("check", path, body))
-    return 0 if report.ok else 4
+    }, 0 if report.ok else 4
 
 
 def _cap(text: str) -> int:
@@ -503,9 +472,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import io  # loaded at interpreter start: this binds the name and loads nothing
+
     args = _parser().parse_args(argv)
+    path = Path(args.file)
     try:
-        return args.func(args)
+        data = path.read_bytes()
+        # decoded as Path.read_text decodes: the locale's encoding, universal newlines
+        body, code = args.func(args, parse_theory(io.TextIOWrapper(io.BytesIO(data)).read()))
+        if body is not None:
+            header = {"schema": SCHEMA, "command": args.command, "input": str(path)}
+            _emit({**header, "input_digest": hashlib.sha256(data).hexdigest(), **body})
+        return code
     except TheoryParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

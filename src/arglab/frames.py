@@ -72,6 +72,7 @@ from .semantics import (
     MAX_ENUM_ARGUMENTS,
     LabellingSpec,
     Semantics,
+    _bits,
     check_cap,
     labellings as enumerate_labellings,  # not called here; perfbench/test_gate.py reads the alias
     subgraph_labellings,
@@ -535,7 +536,7 @@ def _components(graph: ArgumentationGraph) -> List[Tuple[int, ...]]:
                 rest.append(component)
         found = rest + [link]
     found.sort(key=lambda component: component & -component)
-    return [tuple(j for j in range(len(ids)) if component >> j & 1) for component in found]
+    return [tuple(_bits(component)) for component in found]
 
 
 def plf_with_semantics(

@@ -43,20 +43,21 @@ def _renamed(theory):
 
 
 @st.composite
-def theories(draw, max_rules=6, nested=False, union=False):
+def theories(draw, max_rules=6, nested=False, union=False, argued=False):
     """Theories with at least one rule and every rule probability in [0, 1].
 
     With ``nested``, the first two rules have no plain premise and the last
     has their heads as its plain premises, so the graph always holds a nested
     argument id with two subarguments, such as ``r3(r0(),r1())``.  With
-    ``union``, the theory is the disjoint union of two such theories, the
-    second renamed apart: no attack, subargument or rule links their
-    arguments, so its graph has at least two components whenever both halves
-    have arguments.
+    ``argued``, the first rule has no plain premise, so the theory has at
+    least one argument.  With ``union``, the theory is the disjoint union of
+    two such theories, the second renamed apart: no attack, subargument or
+    rule links their arguments, so its graph has at least two components
+    whenever both halves have arguments, as they do with ``argued``.
     """
     if union:
-        first = draw(theories(max_rules, nested))
-        second = _renamed(draw(theories(max_rules, nested)))
+        first = draw(theories(max_rules, nested, argued=argued))
+        second = _renamed(draw(theories(max_rules, nested, argued=argued)))
         return DefeasibleTheory(
             {**first.rules, **second.rules},
             first.conflicts | second.conflicts,
@@ -68,7 +69,7 @@ def theories(draw, max_rules=6, nested=False, union=False):
     for i in range(n):
         rid = f"r{i}"
         body = tuple(draw(st.lists(literals, max_size=2)))
-        if nested and i in (0, 1):
+        if nested and i in (0, 1) or argued and i == 0:
             body = ()
         elif nested and i == n - 1:
             body = (rules["r0"].head, rules["r1"].head)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -432,6 +433,33 @@ def test_independent_frame_rule_cap_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["args", "/nonexistent/file.dl"]) == 2
+
+
+def test_input_digest_is_the_sha256_of_the_bytes_read(tmp_path, capsys):
+    """The digest is of the file's bytes, CRLF line ends and a UTF-8 atom
+    included; the body is the one the same theory with LF line ends gives."""
+    text = "ra : => \u00e0.\nrb : ~\u00e0 => -\u00e0.\np(ra) = 1/2.\n"
+    bodies = {}
+    for name, raw in (("lf.dl", text.encode()), ("crlf.dl", text.replace("\n", "\r\n").encode())):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        code, out = run(capsys, "args", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["input_digest"] == hashlib.sha256(raw).hexdigest()
+        del report["input"], report["input_digest"]
+        bodies[name] = report
+    assert bodies["crlf.dl"] == bodies["lf.dl"]
+    assert [a["conclusion"] for a in bodies["lf.dl"]["arguments"]] == ["\u00e0", "-\u00e0"]
+
+
+def test_undecodable_theory_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "utf16.dl"
+    path.write_bytes(b"\xff\xfer\x00b\x00")
+    assert main(["args", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_output_is_deterministic(theory_file, capsys):

@@ -1132,18 +1132,21 @@ def test_factored_frame_matches_full_product(theory, policy, semantics, legal_on
         event(got[0].__name__)
 
 
-@given(theories(max_rules=3, union=True), policies, st.sampled_from(list(Semantics)), st.data())
+@given(
+    theories(max_rules=3, union=True, argued=True), policies, st.sampled_from(list(Semantics)),
+    st.data(),
+)
 @settings(max_examples=150, deadline=None)
 def test_frame_over_a_drawn_distribution_factors_over_the_components(
     theory, policy, semantics, data
 ):
     """A drawn subgraph distribution is seldom the product of its parts' over
     the components: the frame still has one factor per component, and is
-    still the same frame."""
+    still the same frame.  Both halves of the union theory have an argument,
+    so the graph has at least two components."""
     graph = capped_graph(theory, policy, max_args=8).without_sub_edges()
     blocks = graph_components(graph)
-    if len(blocks) < 2:
-        reject()
+    assert len(blocks) >= 2
     pgf = PGF(graph, data.draw(distributions(st.frozensets(st.sampled_from(graph.ids())), 6)))
     event("product" if is_product(pgf.probs, blocks) else "not a product")
     got = _frame_or_error(lambda: plf_with_semantics(pgf, semantics))

@@ -36,3 +36,19 @@ def test_send_records_a_crash_as_an_answer():
 
     _, answer = _paired().send(Crashing, ("marginal", "theory.dl"))
     assert answer == (-1, "", "RuntimeError(\"no answer to ['marginal', 'theory.dl']\")\n")
+
+
+
+def test_startup_alternates_the_first_side_and_counts_heads_wins(monkeypatch):
+    paired = _paired()
+    base, head = Path("base"), Path("head")
+    timed = []
+    monkeypatch.setattr(paired, "start_s", lambda c: timed.append(c.name) or {base: 2.0, head: 1.0}[c])
+    result = paired.startup({"base": base, "head": head}, starts=3)
+    # one untimed start per side writes the bytecode cache
+    assert timed == ["base", "head", "base", "head", "head", "base", "base", "head"]
+    assert result == {"starts": 3, "median_s": {"base": 2.0, "head": 1.0}, "head_wins": 3}
+
+
+def test_start_s_times_a_fresh_interpreter_of_this_checkout():
+    assert 0 < _paired().start_s(ROOT) < 60

@@ -18,8 +18,14 @@ one side is reported as a difference.
 Per query, each side's minimum wall time over the rounds is kept; the report
 gives the quartiles of head/base over those minima and the throughput ratio
 (base seconds over head seconds, so above 1 means head answers more queries
-per second), over all rounds and per round.  Nothing is gated: the numbers
-are for reading, next to ``perfbench/run.py``'s own runs.
+per second), over all rounds and per round.
+
+Start-up is timed apart, in fresh interpreters: ``perfbench/run.py``'s own
+``SETUP_CODE`` imports ``arglab.cli`` from each checkout's ``src`` and builds
+the parser, the first side alternating from start to start.  The report
+gives each side's median over those starts and the starts head won.  Nothing
+is gated: the numbers are for reading, next to ``perfbench/run.py``'s own
+runs.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import importlib.util
 import io
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +52,7 @@ import run as perfbench  # noqa: E402  (perfbench/run.py, read only)
 
 QUERIES = 200  # pool items timed, from item 0
 ROUNDS = 3
+STARTS = 20  # fresh-interpreter starts timed per side
 
 
 def load_cli(checkout: Path, name: str):
@@ -78,6 +86,37 @@ def send(cli, argv: Tuple[str, ...]) -> Tuple[float, Tuple[int, str, str]]:
     return wall, (code, out.getvalue(), err.getvalue())
 
 
+def start_s(checkout: Path) -> float:
+    """Wall seconds of one fresh interpreter importing the checkout's
+    ``arglab.cli`` and building its parser, as ``perfbench/run.py`` times
+    ``setup_s``."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", perfbench.SETUP_CODE, str(checkout / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return float(done.stdout)
+
+
+def startup(checkouts: Dict[str, Path], starts: int = STARTS) -> Dict[str, object]:
+    """Each side's median start-up seconds over ``starts`` fresh interpreters
+    and the starts head won.  One untimed start per side first writes the
+    bytecode cache; then the sides start in turn, the first alternating."""
+    for checkout in checkouts.values():
+        start_s(checkout)
+    times: Dict[str, List[float]] = {side: [] for side in checkouts}
+    for i in range(starts):
+        for side in sorted(checkouts, reverse=i % 2 == 1):
+            times[side].append(start_s(checkouts[side]))
+    return {
+        "starts": starts,
+        "median_s": {side: statistics.median(t) for side, t in times.items()},
+        "head_wins": sum(h < b for h, b in zip(times["head"], times["base"])),
+    }
+
+
 def quartiles(values: List[float]) -> Dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"min": min(values), "q1": q1, "median": median, "q3": q3, "max": max(values)}
@@ -91,8 +130,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=perfbench.DEFAULT_SEED)
     args = parser.parse_args()
     perfbench._pin_hash_seed(args.seed)
-    sides = {"base": load_cli(args.base.resolve(), "arglab_base"),
-             "head": load_cli(args.head.resolve(), "arglab_head")}
+    checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
+    sides = {side: load_cli(checkout, f"arglab_{side}") for side, checkout in checkouts.items()}
     workload = perfbench.WORKLOADS[args.workload]
     count = min(QUERIES, workload.pool_size)
     walls: Dict[str, List[List[float]]] = {side: [[] for _ in range(count)] for side in sides}
@@ -126,6 +165,7 @@ def main() -> int:
         "throughput_ratio": total["base"] / total["head"],
         "throughput_ratio_per_round": [s["base"] / s["head"] for s in round_s],
         "queries_per_s": {side: count * ROUNDS / total[side] for side in sides},
+        "setup_s": startup(checkouts),
     }
     print(json.dumps(report, indent=1))
     return 0
