@@ -108,7 +108,7 @@ def startup(checkouts: Dict[str, Path], starts: int = STARTS) -> Dict[str, objec
         start_s(checkout)
     times: Dict[str, List[float]] = {side: [] for side in checkouts}
     for i in range(starts):
-        for side in sorted(checkouts, reverse=i % 2 == 1):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
             times[side].append(start_s(checkouts[side]))
     return {
         "starts": starts,
