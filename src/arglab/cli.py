@@ -71,13 +71,7 @@ _DEFAULTS = {"semantics": Semantics.GROUNDED.value, "max_args_enum": MAX_ENUM_AR
 _LABEL_SETS = {"inoutun": LabelSet.IN_OUT_UN, "inoutunoff": LabelSet.IN_OUT_UN_OFF}
 _STMT_LABELS = {
     StatementScheme.BIVALENT: [StatementLabel.IN, StatementLabel.NO],
-    StatementScheme.WORSTCASE: [
-        StatementLabel.IN,
-        StatementLabel.OUT,
-        StatementLabel.UN,
-        StatementLabel.OFF,
-        StatementLabel.UNP,
-    ],
+    StatementScheme.WORSTCASE: [l for l in StatementLabel if l is not StatementLabel.NO],
 }
 
 

@@ -170,6 +170,16 @@ class Argument:
         return self.canonical_id
 
 
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class ArgumentationGraph:
     """Arguments plus attack and direct-subargument edges over their ids.
@@ -178,9 +188,10 @@ class ArgumentationGraph:
     antireflexive and acyclic, and an attack on an argument extends to every
     argument having it as a direct subargument.  The check leaves behind the
     index every layer reads: ``attackers`` maps each id to the frozenset of
-    its attackers, and :meth:`ids` is the sorted id tuple.  The labelling
-    search reads the same index as bitmasks, :attr:`attacker_masks`, built on
-    first use.
+    its attackers, and :meth:`ids` is the sorted id tuple.  Built on first
+    use, never by the check: the labelling search reads the same index as
+    bitmasks, :attr:`attacker_masks`, bit j standing for ``ids()[j]``, and
+    labelling frames factor over :attr:`components`.
     """
 
     arguments: Mapping[str, Argument]
@@ -234,11 +245,40 @@ class ArgumentationGraph:
         return self._ids
 
     @cached_property
+    def _bit(self) -> Dict[str, int]:
+        """Each id's bit: ``1 << j`` for ``ids()[j]``."""
+        return {a: 1 << j for j, a in enumerate(self._ids)}
+
+    @cached_property
     def attacker_masks(self) -> Tuple[int, ...]:
         """Each argument's attackers as an ``int`` whose bit j stands for ``ids()[j]``,
         aligned to :meth:`ids`."""
-        bit = {a: 1 << j for j, a in enumerate(self._ids)}
+        bit = self._bit
         return tuple(sum(bit[b] for b in self.attackers[a]) for a in self._ids)
+
+    @cached_property
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        """Positions in :meth:`ids` of each connected component of the attacks
+        and sub-edges, ascending, the components ordered by their first position.
+
+        No attack or sub-edge crosses a component.  Each argument with its
+        attackers, and each sub-edge's two ends, is a link, merged with every
+        component found so far that it meets.
+        """
+        bit = self._bit
+        links = [mask | 1 << j for j, mask in enumerate(self.attacker_masks)]
+        links += [bit[b] | bit[a] for b, a in self.sub_edges]
+        found: List[int] = []
+        for link in links:
+            rest = []
+            for component in found:
+                if component & link:
+                    link |= component
+                else:
+                    rest.append(component)
+            found = rest + [link]
+        found.sort(key=lambda component: component & -component)
+        return tuple(tuple(_bits(component)) for component in found)
 
     def without_sub_edges(self) -> "ArgumentationGraph":
         """Abstract view of the graph, subargument structure dropped."""
@@ -261,13 +301,7 @@ class ArgLabel(Enum):
         return _LABEL_RANK[self]
 
 
-_LABEL_RANK = {
-    ArgLabel.IN: 0,
-    ArgLabel.OUT: 1,
-    ArgLabel.UN: 2,
-    ArgLabel.ON: 3,
-    ArgLabel.OFF: 4,
-}
+_LABEL_RANK = {label: rank for rank, label in enumerate(ArgLabel)}  # declaration order
 
 
 class LabelSet(Enum):
@@ -287,25 +321,16 @@ class Labelling:
     ``ids`` is the sorted id tuple; every labelling the engine builds holds
     the graph's own ``ids()`` tuple, shared by all of them.  ``labels`` holds
     one label per id, in that order.  Labellings are hashable and key
-    probability distributions; the hash, of the labels alone, is computed
-    once, and equality also compares the label set and the ids.
+    probability distributions; the hash is of the labels alone, and equality
+    also compares the label set and the ids.
     """
 
     label_set: LabelSet
     ids: Tuple[str, ...]
     labels: Tuple[ArgLabel, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.labels))
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # The labels hash by identity, so a pickled hash is stale in another
-        # process: rebuild the labelling, and with it the hash, on loading.
-        return (Labelling, (self.label_set, self.ids, self.labels))
+        return hash(self.labels)
 
     @staticmethod
     def over(

@@ -13,8 +13,8 @@ tables, read column by column (each labelling lists its labels in
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
 A labelling frame built by :func:`plf_with_semantics` has one factor per
-connected component of the graph's attacks and sub-edges, unless a
-sublabelling weight is given: no label crosses a component, so a subgraph's
+connected component of the graph's attacks and sub-edges
+(:attr:`ArgumentationGraph.components`), unless a sublabelling weight is given: no label crosses a component, so a subgraph's
 labellings are the product of its parts' labellings inside the components.
 Its tables are read per factor: an argument's row from its own factor, a
 statement's from the factors holding its concluding arguments only.  Its
@@ -72,7 +72,6 @@ from .semantics import (
     MAX_ENUM_ARGUMENTS,
     LabellingSpec,
     Semantics,
-    _bits,
     check_cap,
     labellings as enumerate_labellings,  # not called here; perfbench/test_gate.py reads the alias
     subgraph_labellings,
@@ -514,31 +513,6 @@ class SublabellingWeights:
         return weights
 
 
-def _components(graph: ArgumentationGraph) -> List[Tuple[int, ...]]:
-    """Positions in ``graph.ids()`` of each connected component of the attacks
-    and sub-edges, ascending, the components ordered by their first position.
-
-    Union-find on bitmasks: each argument with its attackers
-    (``graph.attacker_masks``), and each sub-edge's two ends, is merged with
-    every component found so far that it meets.
-    """
-    ids = graph.ids()
-    bit = {a: 1 << j for j, a in enumerate(ids)}
-    links = [mask | 1 << j for j, mask in enumerate(graph.attacker_masks)]
-    links += [bit[b] | bit[a] for b, a in graph.sub_edges]
-    found: List[int] = []
-    for link in links:
-        rest = []
-        for component in found:
-            if component & link:
-                link |= component
-            else:
-                rest.append(component)
-        found = rest + [link]
-    found.sort(key=lambda component: component & -component)
-    return [tuple(_bits(component)) for component in found]
-
-
 def plf_with_semantics(
     pgf: PGF,
     semantics: Semantics,
@@ -558,7 +532,7 @@ def plf_with_semantics(
     raises DistributionError.
 
     The frame has one factor per connected component of the attacks and
-    sub-edges, unless a weight entry is given (weights are summed per whole
+    sub-edges (``graph.components``), unless a weight entry is given (weights are summed per whole
     labelling) or there are fewer than two components: then it has one, the
     whole graph.  A factor labels each distinct part of a support subgraph
     inside its component once, and splits uniformly among its labellings.
@@ -579,7 +553,7 @@ def plf_with_semantics(
     spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
     ids = graph.ids()
     # weights are summed per whole labelling: with them, one factor
-    components = [tuple(range(len(ids)))] if weights.entries or not ids else _components(graph)
+    components = [tuple(range(len(ids)))] if weights.entries or not ids else graph.components
     blocks = [frozenset(ids[j] for j in positions) for positions in components]
     parts = [tuple(subset & block for block in blocks) for subset in pgf.probs.nums]
     # per component, each distinct part's label tuples inside it with their weights
@@ -594,10 +568,7 @@ def plf_with_semantics(
         for positions, seen, r in zip(components, labelled, part):
             if r not in seen:
                 inner = subgraph_labellings(graph, r, semantics, max_args)
-                if len(positions) == len(ids):
-                    cut = [l.labels for l in inner]
-                else:
-                    cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
+                cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
                 seen[r] = tuple(zip(cut, weights.weights_for(inner)))
             if not seen[r]:
                 raise DistributionError(

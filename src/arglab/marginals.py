@@ -18,15 +18,10 @@ from .core import (
     Literal,
     in_conflict,
 )
-from .frames import PLF, ZERO, Distribution
+from .frames import ONE, PLF, ZERO, Distribution
 from .semantics import Semantics
 
-_COMPLETE_FAMILY = {
-    Semantics.COMPLETE,
-    Semantics.GROUNDED,
-    Semantics.PREFERRED,
-    Semantics.STABLE,
-}
+_COMPLETE_FAMILY = set(Semantics) - {Semantics.CF}
 
 
 def argument_label_probability(plf: PLF, arg_id: str, label: ArgLabel) -> Fraction:
@@ -35,10 +30,21 @@ def argument_label_probability(plf: PLF, arg_id: str, label: ArgLabel) -> Fracti
 
 
 def joint_probability(plf: PLF, assignment: Mapping[str, ArgLabel]) -> Fraction:
+    """Probability that every named argument carries its label, read off the
+    joint of the frame's factors holding them alone; raises KeyError for
+    unknown ids."""
+    ids = plf.graph.ids()
     for arg_id in assignment:
         if arg_id not in plf.graph.arguments:
             raise KeyError(arg_id)
-    holds = plf.probs.map(lambda l: all(l.label(a) is lab for a, lab in assignment.items()))
+    wanted = {ids.index(a): label for a, label in assignment.items()}
+    if not wanted:
+        return ONE
+    factors = plf._factors
+    held = tuple(i for i, js in enumerate(factors.positions) if not wanted.keys().isdisjoint(js))
+    positions, joint = factors.joint(held)
+    columns = [(positions.index(j), label) for j, label in wanted.items()]
+    holds = joint.map(lambda labels: all(labels[k] is label for k, label in columns))
     return holds.get(True, ZERO)
 
 

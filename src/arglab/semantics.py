@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet
+from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits
 from .construct import is_legal, is_rule_complete, is_subargument_complete
 from .errors import CapExceededError
 
@@ -85,16 +85,6 @@ class LabellingSpec:
 
 
 Labels = Tuple[ArgLabel, ...]  # one label per argument, in ``graph.ids()`` order
-
-
-def _bits(mask: int) -> List[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _grounded_masks(att: Sequence[int], absent: int) -> Tuple[int, int]:
@@ -275,10 +265,11 @@ def subgraph_labellings(
     Labelled in place on ``graph``'s index: an absent attacker counts as OUT,
     so "all attackers OUT" is ``att[a] <= OUT | absent``, and every other test
     meets ``att[a]`` with an IN set inside ``subset``.  The cap applies to
-    ``len(subset)``.
+    ``len(subset)``; ids outside the graph are ignored.
     """
     check_cap(len(subset), max_args)
-    absent = sum(1 << i for i, a in enumerate(graph.ids()) if a not in subset)
+    bit = graph._bit
+    absent = ((1 << len(bit)) - 1) ^ sum(map(bit.__getitem__, bit.keys() & subset))
     rows = _semantics_labels(graph, semantics, absent)
     combined = (Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, row) for row in rows)
     return sorted(combined, key=Labelling.sort_key)

@@ -17,9 +17,11 @@ replaced; the argument and statement marginals that rescan the support on
 every call; and the distribution merge, the conversions between frames, the
 labelling frame built from one ``Fraction`` product p·w per labelling, and the
 marginal tables folded one labelling at a time through ``label()`` and
-``statement_label``, that add one ``Fraction`` at a time; and the labelling
+``statement_label``, that add one ``Fraction`` at a time; the labelling
 frame that labels every subgraph of the support whole and sums over them all,
-which the frame factored over the graph's components replaced.
+which the frame factored over the graph's components replaced; the graph's
+components found by a search from each argument; and the joint probability
+that scans every labelling of that whole frame.
 Results must agree exactly, under both preference policies.
 """
 
@@ -29,6 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
+import pytest
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
@@ -64,6 +67,7 @@ from arglab import (
     induced_subgraph,
     is_legal,
     is_subargument_complete,
+    joint_probability,
     labellings,
     lit,
     pag_to_pgf,
@@ -527,6 +531,33 @@ def graph_components(graph):
         reached |= component
         out.append(frozenset(component))
     return out
+
+
+def scanned_joint_probability(plf, assignment):
+    """Probability that every named argument carries its label, one
+    ``Fraction`` at a time over every labelling of ``probs``."""
+    return sum((
+        p for labelling, p in plf.probs.items()
+        if all(labelling.label(a) is label for a, label in assignment.items())
+    ), F(0))
+
+
+def _component_positions(graph):
+    ids = graph.ids()
+    return tuple(tuple(sorted(map(ids.index, block))) for block in graph_components(graph))
+
+
+@given(theories(max_rules=5, union=True), policies, abstract_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph_components_match_a_search_from_each_argument(theory, policy, abstract):
+    """On theory graphs, their views without sub-edges, and attack graphs
+    with self-attacks and isolated arguments: the same positions, in the
+    same order."""
+    graph = capped_graph(theory, policy, max_args=40)
+    for g in (graph, graph.without_sub_edges(), abstract):
+        assert g.components == _component_positions(g)
+    empty = ArgumentationGraph({}, frozenset(), frozenset())
+    assert empty.components == _component_positions(empty) == ()
 
 
 def is_product(probs, blocks):
@@ -1122,6 +1153,12 @@ def test_factored_frame_matches_full_product(theory, policy, semantics, legal_on
     )
     _assert_same_frame(got, expect)
     if isinstance(got, PLF):
+        labels = sorted(got.spec.label_set.labels, key=lambda l: l.rank)
+        for _ in range(3):
+            assignment = data.draw(
+                st.dictionaries(st.sampled_from(graph.ids()), st.sampled_from(labels), max_size=3)
+            ) if graph.ids() else {}
+            assert joint_probability(got, assignment) == scanned_joint_probability(expect, assignment)
         blocks = graph_components(graph)
         factored = len(blocks) > 1 and not weights.entries
         if source == "ptf" and factored:
@@ -1182,10 +1219,18 @@ def test_eight_pair_frame_holds_34_labellings_and_no_product():
     for statement in plf.conclusion_label_sets:
         for scheme in StatementScheme:
             statement_marginal(plf, statement, scheme)
-    assert "probs" not in vars(plf)
     # a2() is IN when present alone, and in half the labellings with b2()
     in_, out, off = ArgLabel.IN, ArgLabel.OUT, ArgLabel.OFF
     assert plf.marginals["a2()"] == {in_: F(3, 8), out: F(1, 8), off: F(1, 2)}
+    # joints over one factor, and over two, read off those factors alone
+    assert joint_probability(plf, {"a2()": in_, "b2()": out}) == F(1, 8)
+    assert joint_probability(plf, {"a2()": in_, "b2()": off}) == F(1, 4)
+    assert joint_probability(plf, {"a2()": in_, "a3()": in_}) == F(9, 64)
+    assert joint_probability(plf, {"a0()": in_, "b1()": out, "b7()": off}) == F(1, 8)
+    assert joint_probability(plf, {}) == 1
+    with pytest.raises(KeyError):
+        joint_probability(plf, {"a2()": in_, "c0()": in_})
+    assert "probs" not in vars(plf)
 
 
 def test_three_pair_frame_matches_full_product():

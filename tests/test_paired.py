@@ -38,7 +38,6 @@ def test_send_records_a_crash_as_an_answer():
     assert answer == (-1, "", "RuntimeError(\"no answer to ['marginal', 'theory.dl']\")\n")
 
 
-
 def test_startup_alternates_the_first_side_and_counts_heads_wins(monkeypatch):
     paired = _paired()
     base, head = Path("base"), Path("head")
@@ -52,3 +51,13 @@ def test_startup_alternates_the_first_side_and_counts_heads_wins(monkeypatch):
 
 def test_start_s_times_a_fresh_interpreter_of_this_checkout():
     assert 0 < _paired().start_s(ROOT) < 60
+
+
+def test_src_lines_counts_the_package_modules_alone(tmp_path):
+    package = tmp_path / "src" / "arglab"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("one\ntwo\nthree\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "__pycache__" / "c.py").write_text("nested\n")
+    assert _paired().src_lines(tmp_path) == 5

@@ -23,9 +23,9 @@ per second), over all rounds and per round.
 Start-up is timed apart, in fresh interpreters: ``perfbench/run.py``'s own
 ``SETUP_CODE`` imports ``arglab.cli`` from each checkout's ``src`` and builds
 the parser, the first side alternating from start to start.  The report
-gives each side's median over those starts and the starts head won.  Nothing
-is gated: the numbers are for reading, next to ``perfbench/run.py``'s own
-runs.
+gives each side's median over those starts and the starts head won, and
+each side's ``src/arglab/*.py`` line count as ``src_lines``.  Nothing is
+gated: the numbers are for reading, next to ``perfbench/run.py``'s own runs.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def startup(checkouts: Dict[str, Path], starts: int = STARTS) -> Dict[str, objec
     }
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines in the checkout's ``src/arglab/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "arglab").glob("*.py"))
+
+
 def quartiles(values: List[float]) -> Dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"min": min(values), "q1": q1, "median": median, "q3": q3, "max": max(values)}
@@ -166,6 +171,7 @@ def main() -> int:
         "throughput_ratio_per_round": [s["base"] / s["head"] for s in round_s],
         "queries_per_s": {side: count * ROUNDS / total[side] for side in sides},
         "setup_s": startup(checkouts),
+        "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()},
     }
     print(json.dumps(report, indent=1))
     return 0
