@@ -14,14 +14,15 @@ tables, read column by column (each labelling lists its labels in
 
 A labelling frame built by :func:`plf_with_semantics` has one factor per
 connected component of the graph's attacks and sub-edges
-(:attr:`ArgumentationGraph.components`), unless a sublabelling weight is given: no label crosses a component, so a subgraph's
-labellings are the product of its parts' labellings inside the components.
-Its tables are read per factor: an argument's row from its own factor, a
-statement's from the factors holding its concluding arguments only.  Its
-``probs`` is built only when read.  It lists the labellings subgraph by
-subgraph, in the subgraph distribution's order, and each subgraph's in the
-product order of its parts' labellings, the first factor outermost.  A
-statement's row lists its label sets in the order they first occur there.
+(:attr:`ArgumentationGraph.components`), unless a sublabelling weight is
+given: no label crosses a component, so a subgraph's labellings are the
+product of its parts' labellings inside the components.  Its tables are
+read per factor: an argument's row from its own factor, a statement's from
+the factors holding its concluding arguments only.  Its ``probs`` is built
+only when read.  It lists the labellings subgraph by subgraph, in the
+subgraph distribution's order, and each subgraph's in the product order of
+its parts' labellings, the first factor outermost.  A statement's row lists
+its label sets in the order they first occur there.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -532,16 +533,16 @@ def plf_with_semantics(
     raises DistributionError.
 
     The frame has one factor per connected component of the attacks and
-    sub-edges (``graph.components``), unless a weight entry is given (weights are summed per whole
-    labelling) or there are fewer than two components: then it has one, the
-    whole graph.  A factor labels each distinct part of a support subgraph
-    inside its component once, and splits uniformly among its labellings.
-    No label crosses a component, so each subgraph's labellings are the
-    product of its parts', and the frame keeps the subgraph distribution
-    keyed by each subgraph's parts.  The admissibility test and the
-    enumeration cap still apply to each whole support subgraph, in the
-    distribution's order, and the subgraph named for having no labelling is
-    the first with a part that has none.
+    sub-edges (``graph.components``), unless a weight entry is given
+    (weights are summed per whole labelling) or there are fewer than two
+    components: then it has one, the whole graph.  A factor labels each
+    distinct part of a support subgraph inside its component once, and
+    splits uniformly among its labellings.  No label crosses a component, so
+    each subgraph's labellings are the product of its parts', and the frame
+    keeps the subgraph distribution keyed by each subgraph's parts.  The
+    admissibility test and the enumeration cap still apply to each whole
+    support subgraph, in the distribution's order, and the subgraph named
+    for having no labelling is the first with a part that has none.
     """
     weights = weights or SublabellingWeights()
     graph = pgf.graph

@@ -1222,7 +1222,7 @@ def test_eight_pair_frame_holds_34_labellings_and_no_product():
     # a2() is IN when present alone, and in half the labellings with b2()
     in_, out, off = ArgLabel.IN, ArgLabel.OUT, ArgLabel.OFF
     assert plf.marginals["a2()"] == {in_: F(3, 8), out: F(1, 8), off: F(1, 2)}
-    # joints over one factor, and over two, read off those factors alone
+    # joints over one, two and three factors, read off those factors alone
     assert joint_probability(plf, {"a2()": in_, "b2()": out}) == F(1, 8)
     assert joint_probability(plf, {"a2()": in_, "b2()": off}) == F(1, 4)
     assert joint_probability(plf, {"a2()": in_, "a3()": in_}) == F(9, 64)
