@@ -153,6 +153,17 @@ def cases():
                     ["marginal", "shared.dl", "--semantics", semantics]))
     out.append(("twin-check-pgf", ["check", "twin.dl", "--frame", "pgf:twin.pgf"]))
     out.append(("shared-check", ["check", "shared.dl"]))
+    # one target of each form: an argument, a concluded statement under both
+    # schemes, an unproposed statement, and an unknown argument id (exit 2)
+    out.append(("running-marginal-target-arg",
+                ["marginal", "running.dl", "--semantics", "preferred", "--target", "arg:rb1()"]))
+    for scheme in ("worstcase", "bivalent"):
+        out.append((f"running-marginal-target-stmt-{scheme}",
+                    ["marginal", "running.dl", "--target", "stmt:-b", "--scheme", scheme]))
+    out.append(("running-marginal-target-unproposed",
+                ["marginal", "running.dl", "--target", "stmt:zz"]))
+    out.append(("running-marginal-target-unknown",
+                ["marginal", "running.dl", "--target", "arg:nope()"]))
     return out
 
 
