@@ -6,7 +6,15 @@ parses the theory from them; each subcommand maps the arguments and the
 theory to a report body and an exit code, and ``main`` writes every report's
 header: the ``schema`` version, the command, the input path and the sha256
 digest of the bytes read.  Rationals are emitted exactly as
-numerator/denominator plus a rounded decimal for readability.
+numerator/denominator plus a rounded decimal for readability: ``approx``,
+the value to six decimals, the last rounded half to even, computed on
+integers with no decimal context.
+
+A marginal report reads each argument's row of the frame's marginal table,
+and each statement's row, as ``int`` numerators over a denominator.  The
+JSON text of each distinct reduced (num, den) cell is written once per
+report, and the argument and statement rows are laid out from one template
+at the depth where the report places them; ``_json`` writes the rest.
 """
 
 from __future__ import annotations
@@ -15,12 +23,11 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
-from decimal import ROUND_HALF_EVEN, Decimal
-from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, Literal
 from .construct import PreferencePolicy, build_graph, to_dot
@@ -37,7 +44,6 @@ from .frames import (
     PGF,
     PLF,
     PTF,
-    ZERO,
     SublabellingWeights,
     pag_to_pgf,
     pgf_from_ptf,
@@ -48,7 +54,6 @@ from .frames import (
 from .marginals import (
     StatementLabel,
     StatementScheme,
-    argument_label_probability,
     check_properties,
     justification_from_plf,
     statement_marginal,
@@ -75,11 +80,16 @@ _STMT_LABELS = {
 }
 
 
-def _rational(q: Fraction) -> Dict[str, object]:
-    approx = (Decimal(q.numerator) / Decimal(q.denominator)).quantize(
-        Decimal("0.000001"), rounding=ROUND_HALF_EVEN
-    )
-    return {"num": q.numerator, "den": q.denominator, "approx": str(approx)}
+_MICRO = 10**6
+
+
+def _approx(num: int, den: int) -> str:
+    """``num / den``, at least 0, to six decimals, the last rounded half to even."""
+    q, r = divmod(num * _MICRO, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    whole, micro = divmod(q, _MICRO)
+    return f"{whole}.{micro:06d}"
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -139,8 +149,19 @@ def _json(value: object, indent: str, out: List[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, _Written):
+        out.append(value.text)
     else:
         out.append(_scalar(value))
+
+
+class _Written:
+    """A value of a report's top level, its JSON text written already."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _pairs(rows: Sequence[object], inner: str) -> Optional[str]:
@@ -321,39 +342,72 @@ def cmd_label(args, theory) -> Result:
     }, 0
 
 
+# A marginal row is an item of an array at the report's top level, laid out
+# as ``json.dumps(indent=2)`` lays it out: its key field, its labels, each
+# with its cell, and the fields after them, already written.
+_ROW_OPEN = '{{\n      "{}": {},\n      "labels": {{'
+_ROW_LABEL = '{}\n        "{}": '
+_ROW_CLOSE = "\n      }}{}\n    }}"
+_CELL = '{{\n          "num": {},\n          "den": {},\n          "approx": "{}"\n        }}'
+
+
+def _label_heads(labels: Sequence[object]) -> List[Tuple[object, str]]:
+    """Each label of a row, with the text before its cell."""
+    return [(l, _ROW_LABEL.format("," if k else "", l.value)) for k, l in enumerate(labels)]
+
+
+def _rows_text(rows: Iterable[str]) -> _Written:
+    """The array of the given rows, a value of the report's top level."""
+    items = ",\n    ".join(rows)
+    return _Written("[\n    " + items + "\n  ]" if items else "[]")
+
+
 def _marginal_body(args, plf: PLF) -> Dict[str, object]:
     scheme = StatementScheme(args.scheme)
     target = args.target
     graph = plf.graph
-    labels = sorted(plf.spec.label_set.labels, key=lambda l: l.rank)
+    cells: Dict[Tuple[int, int], str] = {}  # each reduced (num, den)'s text
 
-    def arg_entry(arg_id: str) -> Dict[str, object]:
-        return {
-            "id": arg_id,
-            "labels": {l.value: _rational(argument_label_probability(plf, arg_id, l)) for l in labels},
-            "justification": justification_from_plf(plf, arg_id).value,
-        }
+    def row(key: str, value: str, heads, dist, after: str = "") -> str:
+        """The row of ``dist``'s numerators, each cell reduced."""
+        pieces = [_ROW_OPEN.format(key, _string(value))]
+        nums, den = dist.nums, dist.den
+        for label, head in heads:
+            num = nums.get(label, 0)
+            g = math.gcd(num, den)
+            cell = num // g, den // g
+            text = cells.get(cell)
+            if text is None:
+                text = cells[cell] = _CELL.format(*cell, _approx(*cell))
+            pieces += (head, text)
+        pieces.append(_ROW_CLOSE.format(after))
+        return "".join(pieces)
 
-    def stmt_entry(statement: Literal) -> Dict[str, object]:
-        row = statement_marginal(plf, statement, scheme)
-        return {
-            "statement": str(statement),
-            "labels": {l.value: _rational(row.get(l, ZERO)) for l in _STMT_LABELS[scheme]},
-        }
+    arg_heads = _label_heads(sorted(plf.spec.label_set.labels, key=lambda l: l.rank))
+    stmt_heads = _label_heads(_STMT_LABELS[scheme])
+
+    def arg_row(arg_id: str) -> str:
+        justification = justification_from_plf(plf, arg_id).value
+        after = ',\n      "justification": ' + _string(justification)
+        return row("id", arg_id, arg_heads, plf.marginals[arg_id], after)
+
+    def stmt_row(statement: Literal) -> str:
+        return row("statement", str(statement), stmt_heads, statement_marginal(plf, statement, scheme))
 
     if target.startswith("arg:"):
         arg_id = target[4:]
         if arg_id not in graph.arguments:
             raise DistributionError(f"unknown argument id {arg_id!r}")
-        return {"scheme": args.scheme, "arguments": [arg_entry(arg_id)]}
+        return {"scheme": args.scheme, "arguments": _rows_text([arg_row(arg_id)])}
     if target.startswith("stmt:"):
-        return {"scheme": args.scheme, "statements": [stmt_entry(Literal.parse(target[5:]))]}
+        statement = Literal.parse(target[5:])
+        return {"scheme": args.scheme, "statements": _rows_text([stmt_row(statement)])}
     if target == "all":
         statements = sorted({a.conclusion for a in graph.arguments.values()}, key=str)
         return {
             "scheme": args.scheme,
-            "arguments": [arg_entry(a) for a in graph.ids()],
-            "statements": [stmt_entry(s) for s in statements],
+            "arguments": _rows_text(map(arg_row, graph.ids())),
+            "statements": _rows_text(map(stmt_row, statements)),
         }
     raise DistributionError(f"bad target {target!r}; use arg:ID, stmt:LIT or all")
 

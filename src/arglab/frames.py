@@ -2,13 +2,15 @@
 
 A frame holds its distribution as a :class:`Distribution`: an ``int``
 numerator per outcome (``nums``) over one ``int`` denominator (``den``).  Its
-constructor alone merges outcomes, drops zeros and checks the total, for
-outside input and internal results alike; outside probabilities must be
+constructor merges outcomes, drops zeros and checks the total, for outside
+input and internal results alike; outside probabilities must be
 ``Fraction`` or ``int`` (a ``float`` is rejected).  Every conversion below is a
-pushforward (:meth:`Distribution.map`), as are a labelling frame's marginal
-tables, read column by column (each labelling lists its labels in
-``graph.ids()`` order), and the statement and predicate queries of
-:mod:`arglab.marginals`.  Read as a ``Mapping``, a distribution yields
+pushforward (:meth:`Distribution.map`), as are the statement and predicate
+queries of :mod:`arglab.marginals`.  A labelling frame's argument table sums
+every column of a factor in one pass over its numerators (each labelling
+lists its labels in ``graph.ids()`` order); those sums, of a checked
+distribution, need no second check, and are the one input taken unchecked,
+by ``Distribution._summed``.  Read as a ``Mapping``, a distribution yields
 ``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
@@ -74,6 +76,7 @@ from .semantics import (
     LabellingSpec,
     Semantics,
     check_cap,
+    label_rows,
     labellings as enumerate_labellings,  # not called here; perfbench/test_gate.py reads the alias
     subgraph_labellings,
 )
@@ -115,6 +118,16 @@ class Distribution(Mapping):
 
     def __repr__(self) -> str:
         return f"Distribution({dict(self.items())!r})"
+
+    @classmethod
+    def _summed(cls, den: int, nums: Dict[Hashable, int]) -> "Distribution":
+        """The distribution of ``nums``, taken as it is: for numerators the
+        caller has merged already, none zero, summing to ``den`` by
+        construction, as the sums of a checked distribution's columns do."""
+        dist = object.__new__(cls)
+        dist.den = den
+        dist.nums = MappingProxyType(nums)
+        return dist
 
     def along(self, cells: Iterable[Hashable]) -> "Distribution":
         """Pushforward onto ``cells``: the i-th outcome's mass goes to the i-th cell."""
@@ -326,10 +339,19 @@ class PLF(_Frame):
     @cached_property
     def marginals(self) -> Dict[str, Distribution]:
         """Distribution of each argument's label, keyed by argument id: its
-        factor pushed forward onto the argument's column."""
+        factor pushed forward onto the argument's column.
+
+        Every column of a factor is summed in one pass over its numerators.
+        Each column's sums are positive and add up to the factor's
+        denominator, so the rows are built by :meth:`Distribution._summed`,
+        with no second merge or check."""
         rows: Dict[int, Distribution] = {}
         for positions, dist in zip(self._factors.positions, self._factors.dists):
-            rows.update(zip(positions, map(dist.along, zip(*dist.nums))))
+            sums: List[Dict[ArgLabel, int]] = [{} for _ in positions]
+            for labels, n in dist.nums.items():
+                for column, label in zip(sums, labels):
+                    column[label] = column.get(label, 0) + n
+            rows.update(zip(positions, (Distribution._summed(dist.den, c) for c in sums)))
         return {a: rows[j] for j, a in enumerate(self.graph.ids())}
 
     @cached_property
@@ -536,8 +558,10 @@ def plf_with_semantics(
     sub-edges (``graph.components``), unless a weight entry is given
     (weights are summed per whole labelling) or there are fewer than two
     components: then it has one, the whole graph.  A factor labels each
-    distinct part of a support subgraph inside its component once, and
-    splits uniformly among its labellings.  No label crosses a component, so
+    distinct part of a support subgraph inside its component once, as label
+    rows at the component's positions (:func:`label_rows`), and splits
+    uniformly among them; only weights, read off whole labellings, have
+    labellings built.  No label crosses a component, so
     each subgraph's labellings are the product of its parts', and the frame
     keeps the subgraph distribution keyed by each subgraph's parts.  The
     admissibility test and the enumeration cap still apply to each whole
@@ -557,10 +581,9 @@ def plf_with_semantics(
     components = [tuple(range(len(ids)))] if weights.entries or not ids else graph.components
     blocks = [frozenset(ids[j] for j in positions) for positions in components]
     parts = [tuple(subset & block for block in blocks) for subset in pgf.probs.nums]
-    # per component, each distinct part's label tuples inside it with their weights
-    labelled: List[Dict[FrozenSet[str], Tuple[Tuple[Tuple[ArgLabel, ...], Fraction], ...]]] = [
-        {} for _ in components
-    ]
+    bit = graph._bit
+    # per component, each distinct part's label rows at the component's positions
+    labelled: List[Dict[FrozenSet[str], List[Tuple[ArgLabel, ...]]]] = [{} for _ in components]
     for subset, part in zip(pgf.probs.nums, parts):
         if not admit(graph, subset):
             kind = "legal" if legal_only else "subargument-complete"
@@ -568,20 +591,26 @@ def plf_with_semantics(
         check_cap(len(subset), max_args)
         for positions, seen, r in zip(components, labelled, part):
             if r not in seen:
-                inner = subgraph_labellings(graph, r, semantics, max_args)
-                cut = [tuple(map(l.labels.__getitem__, positions)) for l in inner]
-                seen[r] = tuple(zip(cut, weights.weights_for(inner)))
+                seen[r] = label_rows(graph, sum(map(bit.__getitem__, r)), semantics, positions)
             if not seen[r]:
                 raise DistributionError(
                     f"subgraph {sorted(subset)} has no {semantics.value} labelling"
                 )
     kernels, scales = [], []
     for seen in labelled:
-        m = math.lcm(*(w.denominator for pairs in seen.values() for _, w in pairs))
-        kernels.append({
-            r: tuple((t, w.numerator * (m // w.denominator)) for t, w in pairs)
-            for r, pairs in seen.items()
-        })
+        if weights.entries:  # one factor: each row is a whole labelling
+            split = {
+                r: weights.weights_for([Labelling.over(graph, spec.label_set, t) for t in rows])
+                for r, rows in seen.items()
+            }
+            m = math.lcm(*(w.denominator for ws in split.values() for w in ws))
+            kernels.append({
+                r: tuple((t, w.numerator * (m // w.denominator)) for t, w in zip(seen[r], ws))
+                for r, ws in split.items()
+            })
+        else:  # each of a part's k rows weighs 1/k
+            m = math.lcm(*map(len, seen.values()))
+            kernels.append({r: tuple((t, m // len(rows)) for t in rows) for r, rows in seen.items()})
         scales.append(m)
     factors = _Factors(tuple(components), pgf.probs.along(parts), tuple(kernels), tuple(scales))
     return PLF._of_factors(graph, spec, factors)

@@ -112,8 +112,10 @@ def statement_marginal(
     """Probability of each label of the statement; labels never carried are absent.
 
     Pushes the frame's row of conclusion label sets forward onto statement
-    labels; the table (:attr:`PLF.conclusion_label_sets`) is built in one pass
-    over the support, so the cost per call does not grow with the support.
+    labels.  The table (:attr:`PLF.conclusion_label_sets`) is built once per
+    frame, each row from the joint of the factors holding the statement's
+    concluding arguments alone, so the cost per call does not grow with the
+    support.
     """
     # an unproposed statement has no concluding argument: surely the empty label set
     sets = plf.conclusion_label_sets.get(statement, Distribution(1, [(frozenset(), 1)]))
@@ -137,15 +139,18 @@ def justification_from_plf(plf: PLF, arg_id: str) -> Justification:
     Off-justified when OFF has probability 1, skeptically justified when IN
     has probability 1, credulously justified when IN has probability strictly
     between 0 and 1, and not justified otherwise.  Agrees with the
-    semi-skeptical status over the support labellings.
+    semi-skeptical status over the support labellings.  The argument's row
+    of :attr:`PLF.marginals` is read as numerators, compared with its
+    denominator.
     """
-    p_in = argument_label_probability(plf, arg_id, ArgLabel.IN)
-    if plf.spec.label_set is LabelSet.IN_OUT_UN_OFF:
-        if argument_label_probability(plf, arg_id, ArgLabel.OFF) == 1:
-            return Justification.OFJ
-    if p_in == 1:
+    row = plf.marginals[arg_id]
+    nums, den = row.nums, row.den
+    if plf.spec.label_set is LabelSet.IN_OUT_UN_OFF and nums.get(ArgLabel.OFF) == den:
+        return Justification.OFJ
+    n_in = nums.get(ArgLabel.IN, 0)
+    if n_in == den:
         return Justification.SKJ
-    if p_in > 0:
+    if n_in:
         return Justification.CRJ
     return Justification.NOJ
 

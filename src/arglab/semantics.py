@@ -24,9 +24,13 @@ label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
 Every step reads the index the graph keeps from its validation, as
 bitmasks: ``graph.attacker_masks`` holds the attackers of each argument,
 bit j standing for ``graph.ids()[j]``, and the IN, OUT and absent sets of a
-search are ``int`` masks over the same positions.  Labellings are built
-with :meth:`Labelling.over`, their labels listed in id order, so none is
-sorted or checked again.
+search are ``int`` masks over the same positions.  One function,
+:func:`label_rows`, runs the search for a subgraph and returns its label
+rows at given positions, sorted; :func:`grounded_labelling`,
+:func:`subgraph_labellings` and :func:`labellings` build their labellings
+from its rows at every position, with :meth:`Labelling.over`, so none is
+sorted or checked again.  A labelling frame asks it for the rows of each
+part at its component's positions alone, and builds no labelling.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits
+from .core import _LABEL_RANK, ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits
 from .construct import is_legal, is_rule_complete, is_subargument_complete
 from .errors import CapExceededError
 
@@ -115,7 +119,8 @@ def _grounded_masks(att: Sequence[int], absent: int) -> Tuple[int, int]:
 
 def grounded_labelling(graph: ArgumentationGraph) -> Labelling:
     """Least fixpoint computation of the unique grounded labelling."""
-    labels = _semantics_labels(graph, Semantics.GROUNDED, 0)[0]
+    every = range(len(graph.ids()))
+    labels = label_rows(graph, (1 << len(every)) - 1, Semantics.GROUNDED, every)[0]
     return Labelling.over(graph, LabelSet.IN_OUT_UN, labels)
 
 
@@ -196,46 +201,59 @@ def _maximal(sets: List[int]) -> List[int]:
 _IN, _OUT, _UN, _OFF = ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN, ArgLabel.OFF
 
 
-def _in_set_labels(att: Sequence[int], s: int, absent: int) -> Labels:
+def _in_set_labels(att: Sequence[int], s: int, absent: int, positions: Iterable[int]) -> Labels:
+    """The labels at ``positions`` of the IN-set ``s``: its attacked arguments OUT."""
     return tuple(
         _OFF if absent >> i & 1
-        else _IN if s >> i & 1 else _OUT if a & s else _UN
-        for i, a in enumerate(att)
+        else _IN if s >> i & 1 else _OUT if att[i] & s else _UN
+        for i in positions
     )
 
 
-def _cf_labels(att: Sequence[int], absent: int) -> List[Labels]:
-    """Conflict-free labellings: no IN argument has an IN attacker, and every
-    OUT argument has at least one IN attacker.  Each conflict-free IN-set
-    leaves OUT or UN free on the arguments it attacks."""
+def _cf_labels(att: Sequence[int], absent: int, positions: Sequence[int]) -> List[Labels]:
+    """Conflict-free labellings at ``positions``: no IN argument has an IN
+    attacker, and every OUT argument has at least one IN attacker.  Each
+    conflict-free IN-set leaves OUT or UN free on the arguments it attacks."""
     out: List[Labels] = []
     for s in _conflict_free_masks(att, _bits(((1 << len(att)) - 1) & ~absent)):
         choices = [
             (_OFF,) if absent >> i & 1
             else (_IN,) if s >> i & 1
-            else (_OUT, _UN) if a & s
+            else (_OUT, _UN) if att[i] & s
             else (_UN,)
-            for i, a in enumerate(att)
+            for i in positions
         ]
         out.extend(itertools.product(*choices))
     return out
 
 
-def _semantics_labels(graph: ArgumentationGraph, semantics: Semantics, absent: int) -> List[Labels]:
-    """Labels of the subgraph without the ``absent`` arguments (a bitmask over
-    ``graph.ids()``), OFF on those."""
+def _rank_key(row: Labels) -> Tuple[int, ...]:
+    return tuple(map(_LABEL_RANK.__getitem__, row))
+
+
+def label_rows(
+    graph: ArgumentationGraph, present: int, semantics: Semantics, positions: Sequence[int]
+) -> List[Labels]:
+    """Semantics labels of the subgraph on ``present`` (a bitmask over
+    ``graph.ids()``), OFF outside it, each row the labels at ``positions``.
+
+    Every present argument must lie at ``positions``, ascending: the rows are
+    then the subgraph's labellings cut to those positions, one row each, in
+    the order of :meth:`Labelling.sort_key`.  No cap is checked.
+    """
     att = graph.attacker_masks
+    absent = ((1 << len(att)) - 1) ^ present
     if semantics is Semantics.CF:
-        return _cf_labels(att, absent)
+        return sorted(_cf_labels(att, absent, positions), key=_rank_key)
     if semantics is Semantics.GROUNDED:
-        return [_in_set_labels(att, _grounded_masks(att, absent)[0], absent)]
+        return [_in_set_labels(att, _grounded_masks(att, absent)[0], absent, positions)]
     in_sets = _complete_in_masks(att, absent)
     if semantics is Semantics.PREFERRED:
         in_sets = _maximal(in_sets)
-    labels = [_in_set_labels(att, s, absent) for s in in_sets]
+    rows = [_in_set_labels(att, s, absent, positions) for s in in_sets]
     if semantics is Semantics.STABLE:  # nothing left UN
-        labels = [row for row in labels if _UN not in row]
-    return labels
+        rows = [row for row in rows if _UN not in row]
+    return sorted(rows, key=_rank_key)
 
 
 def _subsets(ids: Sequence[str]) -> Iterator[FrozenSet[str]]:
@@ -265,14 +283,14 @@ def subgraph_labellings(
     Labelled in place on ``graph``'s index: an absent attacker counts as OUT,
     so "all attackers OUT" is ``att[a] <= OUT | absent``, and every other test
     meets ``att[a]`` with an IN set inside ``subset``.  The cap applies to
-    ``len(subset)``; ids outside the graph are ignored.
+    ``len(subset)``; ids outside the graph are ignored.  The labellings are
+    :func:`label_rows` at every position.
     """
     check_cap(len(subset), max_args)
     bit = graph._bit
-    absent = ((1 << len(bit)) - 1) ^ sum(map(bit.__getitem__, bit.keys() & subset))
-    rows = _semantics_labels(graph, semantics, absent)
-    combined = (Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, row) for row in rows)
-    return sorted(combined, key=Labelling.sort_key)
+    present = sum(map(bit.__getitem__, bit.keys() & subset))
+    rows = label_rows(graph, present, semantics, range(len(bit)))
+    return [Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, row) for row in rows]
 
 
 def labellings(
@@ -296,7 +314,7 @@ def labellings(
         if spec.semantics is None:
             rows = itertools.product((ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN), repeat=len(ids))
         else:
-            rows = _semantics_labels(graph, spec.semantics, 0)
+            rows = label_rows(graph, (1 << len(ids)) - 1, spec.semantics, range(len(ids)))
         result = [Labelling.over(graph, LabelSet.IN_OUT_UN, row) for row in rows]
 
     else:  # IN_OUT_UN_OFF: combined labellings over admissible subgraphs

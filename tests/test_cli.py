@@ -733,3 +733,23 @@ def test_parser_is_built_at_first_use_and_kept():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout) == (0, "0\nTrue\n"), done.stderr
+
+
+@pytest.mark.parametrize("p, p_in, p_off", [
+    # 28 significant digits of a decimal division round this to exactly 5e-7 first
+    ("50000000000000000000000000001/100000000000000000000000000000000000",
+     "0.000001", "0.999999"),
+    ("1/2000000", "0.000000", "1.000000"),  # exact halves round to even
+    ("3/2000000", "0.000002", "0.999998"),
+])
+def test_approx_is_rounded_once_from_the_exact_value(tmp_path, capsys, p, p_in, p_off):
+    theory = tmp_path / "one.dl"
+    theory.write_text("r : => a.\n")
+    frame = tmp_path / "one.pag"
+    frame.write_text(f"r() : {p}.\n")
+    code, out = run(capsys, "marginal", str(theory), "--frame", f"pag:{frame}",
+                    "--target", "arg:r()")
+    assert code == 0
+    labels = json.loads(out)["arguments"][0]["labels"]
+    assert Fraction(labels["IN"]["num"], labels["IN"]["den"]) == Fraction(p)
+    assert (labels["IN"]["approx"], labels["OFF"]["approx"]) == (p_in, p_off)

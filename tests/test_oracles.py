@@ -20,16 +20,26 @@ marginal tables folded one labelling at a time through ``label()`` and
 ``statement_label``, that add one ``Fraction`` at a time; the labelling
 frame that labels every subgraph of the support whole and sums over them all,
 which the frame factored over the graph's components replaced; the graph's
-components found by a search from each argument; and the joint probability
-that scans every labelling of that whole frame.
+components found by a search from each argument; the joint probability
+that scans every labelling of that whole frame; each part's whole
+labellings cut to its component's positions, which the label rows at those
+positions replaced; and the marginal report built from the library's
+``Fraction`` results and written by ``json.dumps``, which the report written
+from integer rows replaced.
 Results must agree exactly, under both preference policies.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import math
+import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, reject, settings
@@ -48,6 +58,7 @@ from arglab import (
     DefeasibleTheory,
     Distribution,
     DistributionError,
+    Justification,
     Labelling,
     LabellingSpec,
     LabelSet,
@@ -68,6 +79,7 @@ from arglab import (
     is_legal,
     is_subargument_complete,
     joint_probability,
+    justification_from_plf,
     labellings,
     lit,
     pag_to_pgf,
@@ -80,11 +92,15 @@ from arglab import (
     ptf_independent,
     statement_label,
     statement_label_probability,
+    serialize_theory,
     statement_marginal,
     subgraph_labellings,
 )
 from arglab import semantics as semantics_module
+from arglab.cli import main as cli_main
+from arglab.dsl import format_rational
 from arglab.frames import _normalise
+from arglab.semantics import label_rows
 from strategies import capped_graph, distributions, policies, probabilities, theories
 
 F = Fraction
@@ -822,7 +838,7 @@ def _check_masks_against_sets(graph):
         assert [as_set(graph, m) for m in masks] == sets
         assert [as_set(graph, m) for m in semantics_module._maximal(masks)] == set_maximal(sets)
         for m, s in zip(masks, sets):
-            assert semantics_module._in_set_labels(att, m, mask) == set_in_set_labels(graph, s, absent)
+            assert semantics_module._in_set_labels(att, m, mask, range(len(ids))) == set_in_set_labels(graph, s, absent)
 
 
 @given(abstract_graphs(max_args=6))
@@ -1264,3 +1280,184 @@ def test_factored_frame_lists_each_subgraph_as_the_product_of_its_parts():
         z = [a for a, arg in plf.graph.arguments.items() if arg.conclusion == lit("z")]
         seen = dict.fromkeys(frozenset(l.label(a) for a in z) for l in expect)
         assert list(plf.conclusion_label_sets[lit("z")]) == list(seen)
+
+
+# --- label rows at a component's positions -----------------------------------
+
+
+def _check_rows_match_cut_labellings(graph, subset):
+    """Each component's part of ``subset``, labelled at the component's
+    positions alone, gives the part's whole labellings cut there, in the
+    same order, both the engine's and the brute-force pasted ones."""
+    ids = graph.ids()
+    for positions in graph.components:
+        part = subset & frozenset(ids[j] for j in positions)
+        present = sum(1 << j for j in positions if ids[j] in part)
+        for semantics in Semantics:
+            rows = label_rows(graph, present, semantics, positions)
+            cut = [tuple(l.labels[j] for j in positions) for l in _pasted(graph, part, semantics)]
+            engine = subgraph_labellings(graph, part, semantics, 16)
+            assert rows == [tuple(l.labels[j] for j in positions) for l in engine] == cut
+    for semantics in Semantics:
+        assert label_rows(graph, 0, semantics, ()) == [()]
+
+
+@given(abstract_graphs(max_args=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_label_rows_at_component_positions_match_cut_labellings_on_abstract_graphs(graph, data):
+    _check_rows_match_cut_labellings(graph, data.draw(st.frozensets(st.sampled_from(graph.ids()))))
+
+
+@given(theories(max_rules=5), policies, st.data())
+@settings(max_examples=150, deadline=None)
+def test_label_rows_at_component_positions_match_cut_labellings_on_theory_graphs(
+    theory, policy, data
+):
+    graph = capped_graph(theory, policy, max_args=6)
+    subset = data.draw(st.frozensets(st.sampled_from(graph.ids()))) if graph.ids() else frozenset()
+    _check_rows_match_cut_labellings(graph, subset)
+    _check_rows_match_cut_labellings(graph.without_sub_edges(), subset)
+
+
+def test_label_rows_on_the_empty_graph():
+    graph = ArgumentationGraph({}, frozenset(), frozenset())
+    assert graph.components == ()
+    for semantics in Semantics:
+        assert label_rows(graph, 0, semantics, ()) == [()]
+        assert subgraph_labellings(graph, frozenset(), semantics, 16) == [
+            Labelling.over(graph, LabelSet.IN_OUT_UN_OFF, ())
+        ]
+
+
+def test_frame_without_weights_builds_no_labelling(monkeypatch):
+    """Each part is labelled at its component's positions as label rows; only
+    weights, summed per whole labelling, need labellings built."""
+    pgf = pairs_pgf(3)
+    built = []
+    real = Labelling.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Labelling, "__init__", counted)
+    for semantics in Semantics:
+        plf = plf_with_semantics(pgf, semantics)
+        plf.marginals, plf.conclusion_label_sets
+    assert built == []
+    # an entry no preferred labelling matches: uniform weights, but one factor
+    weights = SublabellingWeights.from_entries([({"a0()": ArgLabel.UN}, F(1))])
+    plf_with_semantics(pgf, Semantics.PREFERRED, weights=weights)
+    assert built
+
+
+# --- the marginal report against json.dumps of the library's results ----------
+
+
+def exact_cell(p):
+    """``p`` as the report writes it; ``round`` of a Fraction rounds half to even exactly."""
+    micro = round(p * 10**6)
+    return {"num": p.numerator, "den": p.denominator,
+            "approx": f"{micro // 10**6}.{micro % 10**6:06d}"}
+
+
+def fraction_justification(plf, arg_id):
+    """The justification read off ``Fraction`` probabilities."""
+    p_in = argument_label_probability(plf, arg_id, ArgLabel.IN)
+    if plf.spec.label_set is LabelSet.IN_OUT_UN_OFF:
+        if argument_label_probability(plf, arg_id, ArgLabel.OFF) == 1:
+            return Justification.OFJ
+    if p_in == 1:
+        return Justification.SKJ
+    return Justification.CRJ if p_in > 0 else Justification.NOJ
+
+
+_STATEMENT_COLUMNS = {
+    StatementScheme.BIVALENT: ["in", "no"],
+    StatementScheme.WORSTCASE: ["in", "out", "un", "off", "unp"],
+}
+
+
+def library_marginal_body(plf, scheme, target):
+    """The report body after its header, built from the library's ``Fraction``
+    results, or None for an unknown argument id."""
+    labels = sorted(plf.spec.label_set.labels, key=lambda l: l.rank)
+
+    def arg_entry(a):
+        justification = justification_from_plf(plf, a)
+        assert justification is fraction_justification(plf, a)
+        return {
+            "id": a,
+            "labels": {l.value: exact_cell(argument_label_probability(plf, a, l)) for l in labels},
+            "justification": justification.value,
+        }
+
+    def stmt_entry(s):
+        row = statement_marginal(plf, s, scheme)
+        return {
+            "statement": str(s),
+            "labels": {v: exact_cell(row.get(StatementLabel(v), F(0)))
+                       for v in _STATEMENT_COLUMNS[scheme]},
+        }
+
+    body = {"scheme": scheme.value}
+    if target.startswith("arg:"):
+        if target[4:] not in plf.graph.arguments:
+            return None
+        body["arguments"] = [arg_entry(target[4:])]
+    elif target.startswith("stmt:"):
+        body["statements"] = [stmt_entry(lit(target[5:]))]
+    else:
+        body["arguments"] = [arg_entry(a) for a in plf.graph.ids()]
+        statements = {a.conclusion for a in plf.graph.arguments.values()}
+        body["statements"] = [stmt_entry(s) for s in sorted(statements, key=str)]
+    return body
+
+
+@given(theories(max_rules=5), policies, st.sampled_from(Semantics),
+       st.sampled_from(StatementScheme), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_marginal_report_is_json_dumps_of_the_library_results(
+    theory, policy, semantics, scheme, pag, data
+):
+    """Every target form, under the ``independent`` and ``pag:`` frames."""
+    graph = capped_graph(theory, policy, max_args=7)
+    ids = graph.ids()
+    targets = ["all", "stmt:zz", "arg:nope()"] + [f"arg:{a}" for a in ids]
+    targets += sorted({f"stmt:{a.conclusion}" for a in graph.arguments.values()})
+    target = data.draw(st.sampled_from(targets))
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "theory.dl")
+        path.write_text(serialize_theory(theory))
+        argv = ["marginal", str(path), "--policy", policy.value, "--semantics", semantics.value,
+                "--scheme", scheme.value, "--target", target]
+        frame = "independent"
+        if pag:
+            probs = {a: data.draw(probabilities) for a in ids}
+            frame = f"pag:{Path(work, 'theory.pag')}"
+            Path(work, "theory.pag").write_text(
+                "".join(f"{a} : {format_rational(p)}.\n" for a, p in probs.items())
+            )
+            argv += ["--frame", frame]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    try:
+        if pag:
+            pgf = pag_to_pgf(PAG(graph.without_sub_edges(), probs))
+        else:
+            pgf = pgf_from_ptf(ptf_independent(theory), policy=policy)
+        plf = plf_with_semantics(pgf, semantics)
+    except DistributionError as exc:  # a subgraph with no stable labelling
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"validation error: {exc}\n")
+        return
+    body = library_marginal_body(plf, scheme, target)
+    if body is None:
+        message = f"validation error: unknown argument id {target[4:]!r}\n"
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", message)
+        return
+    header = {"schema": 1, "command": "marginal", "input": str(path), "input_digest": digest,
+              "frame": frame, "semantics": semantics.value}
+    assert code == 0
+    assert stdout.getvalue() == json.dumps({**header, **body}, indent=2) + "\n"
