@@ -107,7 +107,8 @@ def _json(value: object, indent: str, out: List[str]) -> None:
     array of strings, and an array of rows of two strings (attack and
     sub-edge pairs), is one ``join`` without a Python-level call per item.
     The pieces are joined once, at the end, so no large string is copied
-    level by level.  Dict keys must be strings.
+    level by level.  Dict keys must be strings.  A :class:`_Written` value
+    is appended as its text, which must be laid out for where it stands.
     """
     if isinstance(value, str):
         out.append(_string(value))
