@@ -323,7 +323,7 @@ def cmd_graph(args, theory) -> Result:
         return None, 0
     return {
         "arguments": graph.ids(),
-        "attacks": sorted(graph.attacks),
+        "attacks": graph.sorted_attacks(),
         "sub_edges": sorted(graph.sub_edges),
     }, 0
 

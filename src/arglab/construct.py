@@ -256,6 +256,15 @@ def build_graph(
     policy: PreferencePolicy = PreferencePolicy.LAST_LINK,
     max_args: int = MAX_ARGUMENTS,
 ) -> ArgumentationGraph:
+    """The theory's argument graph under ``policy``, handed over unchecked.
+
+    It needs none of the constructor's checks, which hold by construction:
+    every attack and sub-edge joins two of the built arguments;
+    :func:`build_arguments` forms each argument from children found before
+    it, so no argument is its own subargument, directly or through others;
+    and :func:`derive_attacks` gives each argument its children's attackers,
+    so an attack on a subargument extends to each parent.
+    """
     arguments = build_arguments(theory, max_args=max_args)
     attacks = derive_attacks(theory, arguments, policy=policy)
     # one pair per edge from a list comprehension: most arguments have one
@@ -263,17 +272,21 @@ def build_graph(
     sub_edges = frozenset(
         [(child.canonical_id, a) for a, arg in arguments.items() for child in arg.direct_subs]
     )
-    return ArgumentationGraph(arguments, attacks, sub_edges)
+    return ArgumentationGraph._formed(arguments, attacks, sub_edges)
 
 
 def induced_subgraph(graph: ArgumentationGraph, ids: Iterable[str]) -> ArgumentationGraph:
-    """The graph restricted to ``ids``; arguments keep the parent's sorted order."""
+    """The graph restricted to ``ids``; arguments keep the parent's sorted order.
+
+    The restriction of a well-formed graph is well formed, so it is handed
+    over unchecked; only the ids are checked.
+    """
     keep = set(ids)
     unknown = keep - graph.arguments.keys()
     if unknown:
         raise ValueError(f"unknown argument ids: {sorted(unknown)}")
     kept = [i for i in graph.ids() if i in keep]
-    return ArgumentationGraph(
+    return ArgumentationGraph._formed(
         arguments={i: graph.arguments[i] for i in kept},
         attacks=frozenset((b, a) for a in kept for b in graph.attackers[a] if b in keep),
         sub_edges=frozenset(
@@ -318,7 +331,7 @@ def to_dot(graph: ArgumentationGraph) -> str:
     lines = ["digraph arguments {"]
     for i in graph.ids():
         lines.append(f'  "{i}";')
-    for b, a in sorted(graph.attacks):
+    for b, a in graph.sorted_attacks():
         lines.append(f'  "{b}" -> "{a}";')
     for b, a in sorted(graph.sub_edges):
         lines.append(f'  "{b}" -> "{a}" [style=dashed, label="sub"];')

@@ -7,6 +7,7 @@ standard library is used directly, no wrapper type is needed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -170,6 +171,9 @@ class Argument:
         return self.canonical_id
 
 
+_TARGET = operator.itemgetter(1)  # an attack pair's target
+
+
 def _bits(mask: int) -> List[int]:
     """Positions of the set bits of ``mask``, lowest first."""
     out = []
@@ -184,21 +188,21 @@ def _bits(mask: int) -> List[int]:
 class ArgumentationGraph:
     """Arguments plus attack and direct-subargument edges over their ids.
 
-    Well-formedness is checked on construction: the subargument relation is
-    antireflexive and acyclic, and an attack on an argument extends to every
-    argument having it as a direct subargument.  The check leaves behind the
-    index every layer reads: ``attackers`` maps each id to the frozenset of
-    its attackers, and :meth:`ids` is the sorted id tuple.  Built on first
-    use, never by the check: the labelling search reads the same index as
-    bitmasks, :attr:`attacker_masks`, bit j standing for ``ids()[j]``, and
-    labelling frames factor over :attr:`components`.
+    The public constructor checks well-formedness: every edge end is a known
+    argument, the subargument relation is antireflexive and acyclic, and an
+    attack on an argument extends to every argument having it as a direct
+    subargument.  :meth:`_formed` hands over a graph whose builder already
+    guarantees all of this, with no check, and the public constructor is its
+    test oracle.  Either way the index every layer reads is built on first
+    use: ``attackers`` maps each id to the frozenset of its attackers, and
+    :meth:`ids` is the sorted id tuple.  The labelling search reads the same
+    index as bitmasks, :attr:`attacker_masks`, bit j standing for
+    ``ids()[j]``, and labelling frames factor over :attr:`components`.
     """
 
     arguments: Mapping[str, Argument]
     attacks: FrozenSet[Tuple[str, str]]
     sub_edges: FrozenSet[Tuple[str, str]]
-    attackers: Mapping[str, FrozenSet[str]] = field(init=False, repr=False, compare=False)
-    _ids: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         known = self.arguments.keys()
@@ -206,19 +210,29 @@ class ArgumentationGraph:
             if x not in known or y not in known:
                 raise ValueError(f"edge ({x}, {y}) mentions unknown argument")
         self._check_sub_acyclic()
-        ids = tuple(sorted(self.arguments))
-        attackers: Dict[str, Set[str]] = {a: set() for a in ids}
-        for attacker, target in self.attacks:
-            attackers[target].add(attacker)
+        attackers = self.attackers
         for b, a in self.sub_edges:
             missing = attackers[b] - attackers[a]
             if missing:
                 raise ValueError(
                     f"attack ({min(missing)}, {b}) does not extend to parent {a}"
                 )
-        frozen = MappingProxyType({a: frozenset(s) for a, s in attackers.items()})
-        object.__setattr__(self, "attackers", frozen)
-        object.__setattr__(self, "_ids", ids)
+
+    @classmethod
+    def _formed(
+        cls,
+        arguments: Mapping[str, Argument],
+        attacks: FrozenSet[Tuple[str, str]],
+        sub_edges: FrozenSet[Tuple[str, str]],
+    ) -> "ArgumentationGraph":
+        """The graph with these fields, unchecked; for a builder whose output
+        satisfies every check of ``__post_init__`` by construction."""
+        graph = object.__new__(cls)
+        init = object.__setattr__
+        init(graph, "arguments", arguments)
+        init(graph, "attacks", attacks)
+        init(graph, "sub_edges", sub_edges)
+        return graph
 
     def _check_sub_acyclic(self):
         # peel, from the leaves up, each argument whose subarguments are all
@@ -240,9 +254,35 @@ class ArgumentationGraph:
         if any(pending.values()):
             raise ValueError("subargument relation has a cycle")
 
+    @cached_property
+    def _ids(self) -> Tuple[str, ...]:
+        return tuple(sorted(self.arguments))
+
     def ids(self) -> Tuple[str, ...]:
         """Argument ids in sorted order, the order of every labelling's labels."""
         return self._ids
+
+    @cached_property
+    def attackers(self) -> Mapping[str, FrozenSet[str]]:
+        """Each argument's attackers, keyed in :meth:`ids` order."""
+        attackers: Dict[str, Set[str]] = {a: set() for a in self._ids}
+        for attacker, target in self.attacks:
+            attackers[target].add(attacker)
+        return MappingProxyType({a: frozenset(s) for a, s in attackers.items()})
+
+    def sorted_attacks(self) -> List[Tuple[str, str]]:
+        """``sorted(self.attacks)``: the pairs put in their attacker's bucket,
+        the buckets walked in :meth:`ids` order, each sorted by target alone,
+        so no two pairs are compared as tuples."""
+        buckets: Dict[str, List[Tuple[str, str]]] = {a: [] for a in self._ids}
+        for pair in self.attacks:
+            buckets[pair[0]].append(pair)
+        out: List[Tuple[str, str]] = []
+        for pairs in buckets.values():
+            if pairs:
+                pairs.sort(key=_TARGET)
+                out += pairs
+        return out
 
     @cached_property
     def _bit(self) -> Dict[str, int]:
@@ -281,8 +321,9 @@ class ArgumentationGraph:
         return tuple(tuple(_bits(component)) for component in found)
 
     def without_sub_edges(self) -> "ArgumentationGraph":
-        """Abstract view of the graph, subargument structure dropped."""
-        return ArgumentationGraph(dict(self.arguments), self.attacks, frozenset())
+        """Abstract view of the graph, subargument structure dropped; what is
+        left of a well-formed graph is well formed, so it is not checked again."""
+        return ArgumentationGraph._formed(dict(self.arguments), self.attacks, frozenset())
 
 
 class ArgLabel(Enum):

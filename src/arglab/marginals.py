@@ -22,6 +22,8 @@ from .frames import ONE, PLF, ZERO, Distribution
 from .semantics import Semantics
 
 _COMPLETE_FAMILY = set(Semantics) - {Semantics.CF}
+# an unproposed statement has no concluding argument: surely the empty label set
+_UNPROPOSED = Distribution(1, [(frozenset(), 1)])
 
 
 def argument_label_probability(plf: PLF, arg_id: str, label: ArgLabel) -> Fraction:
@@ -117,8 +119,7 @@ def statement_marginal(
     concluding arguments alone, so the cost per call does not grow with the
     support.
     """
-    # an unproposed statement has no concluding argument: surely the empty label set
-    sets = plf.conclusion_label_sets.get(statement, Distribution(1, [(frozenset(), 1)]))
+    sets = plf.conclusion_label_sets.get(statement, _UNPROPOSED)
     return sets.map(lambda labels: _statement_label_of(labels, scheme))
 
 
@@ -221,7 +222,7 @@ def check_properties(
     return PropertyReport([
         # No IN probability mass on both ends of an attack.
         _result("coherence", has_in, (
-            f"attack ({b}, {a})" for b, a in sorted(graph.attacks)
+            f"attack ({b}, {a})" for b, a in graph.sorted_attacks()
             if p(a, ArgLabel.IN) + p(b, ArgLabel.IN) > 1
         )),
         # Unattacked arguments are certain: IN, or IN-unless-absent.

@@ -21,7 +21,7 @@ assignments without a semantics are enumerated exhaustively: 2^n subsets or
 MAX_ENUM_ARGUMENTS arguments and is deterministic: results are sorted by the
 label sequence in canonical-id order with IN < OUT < UN < ON < OFF.
 
-Every step reads the index the graph keeps from its validation, as
+Every step reads the graph's attacker index, built once per graph, as
 bitmasks: ``graph.attacker_masks`` holds the attackers of each argument,
 bit j standing for ``graph.ids()[j]``, and the IN, OUT and absent sets of a
 search are ``int`` masks over the same positions.  One function,
