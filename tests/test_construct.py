@@ -211,3 +211,18 @@ def test_to_dot(running_graph):
     assert dot.startswith("digraph")
     assert f'"{A_D}" -> "{A_C}";' in dot
     assert f'"{A_B1}" -> "{A_B}" [style=dashed, label="sub"];' in dot
+
+
+def test_graphs_are_handed_over_unchecked(running_theory, monkeypatch):
+    """The builders' graphs skip the public constructor's checks, which hold by
+    construction, and printing a graph builds no attacker index."""
+
+    def checked(graph):
+        raise AssertionError("the graph was checked again")
+
+    monkeypatch.setattr(ArgumentationGraph, "__post_init__", checked)
+    graph = build_graph(running_theory)
+    to_dot(graph)
+    assert "attackers" not in vars(graph)
+    induced_subgraph(graph, {A_B1, A_C})
+    graph.without_sub_edges()

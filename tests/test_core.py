@@ -85,9 +85,9 @@ def _two_args():
 def test_graph_rejects_reflexive_or_cyclic_sub_edges():
     a, b = _two_args()
     args = {x.canonical_id: x for x in (a, b)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reflexive subargument edge on r1\(\)$"):
         ArgumentationGraph(args, frozenset(), frozenset({(a.canonical_id, a.canonical_id)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^subargument relation has a cycle$"):
         ArgumentationGraph(
             args,
             frozenset(),
@@ -101,7 +101,7 @@ def test_graph_requires_attack_propagation_to_parents():
     args = {x.canonical_id: x for x in (a, b, c)}
     sub = frozenset({(a.canonical_id, b.canonical_id)})
     # attack on the subargument alone is not well formed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^attack \(r5\(\), r1\(\)\) does not extend to parent r2\(r1\(\)\)$"):
         ArgumentationGraph(args, frozenset({(c.canonical_id, a.canonical_id)}), sub)
     # extending it to the parent is
     g = ArgumentationGraph(
@@ -115,8 +115,28 @@ def test_graph_requires_attack_propagation_to_parents():
 def test_graph_rejects_unknown_edge_endpoints():
     a, b = _two_args()
     args = {a.canonical_id: a}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(r1\(\), r2\(r1\(\)\)\) mentions unknown argument$"):
         ArgumentationGraph(args, frozenset({(a.canonical_id, b.canonical_id)}), frozenset())
+    with pytest.raises(ValueError, match=r"^edge \(r1\(\), r2\(r1\(\)\)\) mentions unknown argument$"):
+        ArgumentationGraph(args, frozenset(), frozenset({(a.canonical_id, b.canonical_id)}))
+
+
+def test_sorted_attacks_on_hand_built_graphs():
+    a, b = _two_args()
+    args = {x.canonical_id: x for x in (a, b, Argument("r5", lit("-a")), Argument("r0", lit("d")))}
+    assert ArgumentationGraph({}, frozenset(), frozenset()).sorted_attacks() == []
+    assert ArgumentationGraph(args, frozenset(), frozenset()).sorted_attacks() == []
+    # self-attacks, an attacker of several targets, and r0() attacking nothing
+    attacks = frozenset({
+        ("r5()", "r5()"), ("r5()", "r2(r1())"), ("r5()", "r1()"), ("r1()", "r1()"), ("r2(r1())", "r5()")
+    })
+    assert ArgumentationGraph(args, attacks, frozenset()).sorted_attacks() == sorted(attacks) == [
+        ("r1()", "r1()"),
+        ("r2(r1())", "r5()"),
+        ("r5()", "r1()"),
+        ("r5()", "r2(r1())"),
+        ("r5()", "r5()"),
+    ]
 
 
 def test_labelling_construction_and_queries():

@@ -21,7 +21,9 @@ marginal tables folded one labelling at a time through ``label()`` and
 frame that labels every subgraph of the support whole and sums over them all,
 which the frame factored over the graph's components replaced; the graph's
 components found by a search from each argument; the joint probability
-that scans every labelling of that whole frame; each part's whole
+that scans every labelling of that whole frame; the checking public
+constructor, which the graphs handed over by their builders skip, and the
+sorted attack pairs, which bucketing by attacker replaced; each part's whole
 labellings cut to its component's positions, which the label rows at those
 positions replaced; and the marginal report built from the library's
 ``Fraction`` results and written by ``json.dumps``, which the report written
@@ -746,6 +748,22 @@ def test_attackers_index_matches_inverted_attacks(theory, policy, data):
         assert g.attacker_masks == tuple(as_mask(g, g.attackers[a]) for a in g.ids())
     # the subgraph walks the parent's sorted ids, whatever the set's own order
     assert list(sub.arguments) == list(sub.ids())
+
+
+@given(
+    st.one_of(theories(), theories(nested=True), theories(union=True), theories(nested=True, union=True)),
+    policies,
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_handed_over_graphs_pass_the_checked_constructor(theory, policy, data):
+    graph = capped_graph(theory, policy, max_args=60)
+    kept = data.draw(st.sets(st.sampled_from(graph.ids()))) if graph.arguments else set()
+    for g in (graph, induced_subgraph(graph, kept), graph.without_sub_edges()):
+        checked = ArgumentationGraph(g.arguments, g.attacks, g.sub_edges)
+        assert g == checked and g.ids() == checked.ids()
+        assert list(g.attackers.items()) == list(checked.attackers.items())
+        assert g.sorted_attacks() == sorted(g.attacks)
 
 
 def _checked(labelling):
