@@ -17,7 +17,9 @@ disjoint uncertain rules, with a statement ``c`` concluded in both;
 ``twin.pag`` is a frame over its arguments, and ``twin.weights`` splits the
 mutual attack's labellings unevenly and gives the others weight 0;
 ``twin.pgf`` is a correlated subgraph distribution over its arguments, not
-the product of its parts in the two components.  ``shared.dl`` uses one
+the product of its parts in the two components; ``twin.plf`` holds grounded
+labellings of five subgraphs, spanning both components, and ``twin.pef``
+believed sets in either component.  ``shared.dl`` uses one
 uncertain rule, ``r``, in two components, beside a mutual attack whose
 argument ``np()`` is uncertain: ``a`` is IN with probability 1/2, where the
 product of its two components' margins would give 7/12.
@@ -152,6 +154,13 @@ def cases():
         out.append((f"shared-marginal-{semantics}",
                     ["marginal", "shared.dl", "--semantics", semantics]))
     out.append(("twin-check-pgf", ["check", "twin.dl", "--frame", "pgf:twin.pgf"]))
+    # hand-built frames over both components, read by the checked PLF(...)
+    for kind in ("plf", "pef"):
+        common = ["twin.dl", "--frame", f"{kind}:twin.{kind}"]
+        out.append((f"twin-marginal-{kind}", ["marginal", *common]))
+        out.append((f"twin-check-{kind}", ["check", *common]))
+    out.append(("twin-check-plf-grounded",
+                ["check", "twin.dl", "--frame", "plf:twin.plf", "--semantics", "grounded"]))
     out.append(("shared-check", ["check", "shared.dl"]))
     # one target of each form: an argument, a concluded statement under both
     # schemes, an unproposed statement, and an unknown argument id (exit 2)
