@@ -14,17 +14,19 @@ by ``Distribution._summed``.  Read as a ``Mapping``, a distribution yields
 ``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
-A labelling frame built by :func:`plf_with_semantics` has one factor per
-connected component of the graph's attacks and sub-edges
-(:attr:`ArgumentationGraph.components`), unless a sublabelling weight is
-given: no label crosses a component, so a subgraph's labellings are the
-product of its parts' labellings inside the components.  Its tables are
+A labelling frame is a graph, a spec and its factors.  ``PLF(graph, spec,
+probs)`` checks outside input and holds it as one factor; ``PLF._formed``
+hands over the factors the engine built, unchecked.  :func:`plf_with_semantics`
+builds one factor per connected component of the graph's attacks and
+sub-edges (:attr:`ArgumentationGraph.components`), unless a sublabelling
+weight is given: no label crosses a component, so a subgraph's labellings
+are the product of its parts' labellings inside the components.  Tables are
 read per factor: an argument's row from its own factor, a statement's from
-the factors holding its concluding arguments only.  Its ``probs`` is built
-only when read.  It lists the labellings subgraph by subgraph, in the
-subgraph distribution's order, and each subgraph's in the product order of
-its parts' labellings, the first factor outermost.  A statement's row lists
-its label sets in the order they first occur there.
+the factors holding its concluding arguments only.  ``probs`` is built only
+when read, subgraph by subgraph in the subgraph distribution's order, and
+each subgraph's labellings in the product order of its parts' labellings,
+the first factor outermost.  A statement's row lists its label sets in the
+order they first occur there.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -158,7 +160,7 @@ def _normalise(entries) -> Distribution:
 
 
 class _Frame:
-    """The constructor every frame shares: ``probs`` becomes a
+    """The constructor the subset-keyed frames share: ``probs`` becomes a
     :class:`Distribution`, and each outcome must pass the frame's ``_check``."""
 
     def __post_init__(self):
@@ -286,37 +288,45 @@ class _Factors:
         den = combos.den * math.prod(self.scales[i] for i in factors)
         return tuple(joined[k] for k in order), Distribution(den, pairs)
 
+    @classmethod
+    def _whole(cls, width: int, rows: Distribution) -> "_Factors":
+        """One factor over all ``width`` arguments of a graph, each label row,
+        a tuple in ``graph.ids()`` order, its own part."""
+        kernel = {t: ((t, 1),) for t in rows.nums}
+        return cls((tuple(range(width)),), rows.along((t,) for t in rows.nums), (kernel,), (1,))
 
-class PLF(_Frame):
+
+class PLF:
     """Probabilistic labelling frame: distribution over labellings.
 
-    ``PLF(graph, spec, probs)`` checks ``probs`` and reads its tables off it,
-    as one factor over the whole graph.  :func:`plf_with_semantics` builds a
-    frame from factors instead: its tables are read factor by factor, and
-    ``probs`` is built when first read.
+    A frame is its graph, its spec and its factors.  ``PLF(graph, spec,
+    probs)`` checks outside input, each labelling total over the graph in the
+    spec's label set, and holds it as one factor, each labelling its own
+    part; ``PLF._formed`` hands over the engine's factors unchecked.
+    ``probs`` is built from the factors when read.
     """
 
     def __init__(self, graph: ArgumentationGraph, spec: LabellingSpec,
                  probs: Mapping[Labelling, Fraction]):
-        self.graph = graph
-        self.spec = spec
-        self.probs = probs
-        self.__post_init__()
+        probs = _normalise(probs)
+        ids, labels = graph.ids(), spec.label_set.labels
+        for labelling in probs:
+            if labelling.label_set is not spec.label_set:
+                raise DistributionError("labelling outcome has the wrong label set")
+            if labelling.ids is not ids and labelling.ids != ids:
+                raise DistributionError("labelling outcome is not total over the graph")
+            if len(labelling.labels) != len(ids):
+                raise DistributionError("labelling outcome does not give one label per argument")
+            if not labels.issuperset(labelling.labels):
+                raise DistributionError("labelling outcome has a label outside its label set")
+        self.graph, self.spec = graph, spec
+        self._factors = _Factors._whole(len(ids), probs.along(l.labels for l in probs))
 
     @classmethod
-    def _of_factors(
-        cls, graph: ArgumentationGraph, spec: LabellingSpec, factors: _Factors
-    ) -> "PLF":
+    def _formed(cls, graph: ArgumentationGraph, spec: LabellingSpec, factors: _Factors) -> "PLF":
         plf = cls.__new__(cls)
         plf.graph, plf.spec, plf._factors = graph, spec, factors
         return plf
-
-    def _check(self, labelling: Labelling) -> None:
-        if labelling.label_set is not self.spec.label_set:
-            raise DistributionError("labelling outcome has the wrong label set")
-        ids = self.graph.ids()
-        if labelling.ids is not ids and labelling.ids != ids:
-            raise DistributionError("labelling outcome is not total over the graph")
 
     @cached_property
     def probs(self) -> Distribution:
@@ -324,14 +334,6 @@ class PLF(_Frame):
         label_set, ids = self.spec.label_set, self.graph.ids()
         _, joint = self._factors.joint(tuple(range(len(self._factors.dists))))
         return joint.map(lambda labels: Labelling(label_set, ids, labels))
-
-    @cached_property
-    def _factors(self) -> _Factors:
-        """``probs`` as one factor over every argument, each labelling its own part."""
-        every = tuple(range(len(self.graph.ids())))
-        labels = [l.labels for l in self.probs]
-        kernel = {t: ((t, 1),) for t in labels}
-        return _Factors((every,), self.probs.along((t,) for t in labels), (kernel,), (1,))
 
     def support(self) -> List[Labelling]:
         return sorted(self.probs, key=Labelling.sort_key)
@@ -378,7 +380,7 @@ class PLF(_Frame):
                 positions, joint = factors.joint(held)
                 joints[held] = joint, dict(zip(positions, zip(*joint.nums)))
             joint, columns = joints[held]
-            table[c] = joint.along(zip(*(columns[j] for j in js))).map(frozenset)
+            table[c] = joint.along(map(frozenset, zip(*(columns[j] for j in js))))
         return table
 
 
@@ -446,13 +448,11 @@ def _plf_from_sets(
     member: ArgLabel,
     other: ArgLabel,
 ) -> PLF:
-    """Labelling frame marking each outcome's members ``member``, the rest ``other``."""
-
-    def labelling(subset: FrozenSet[str]) -> Labelling:
-        labels = (member if a in subset else other for a in graph.ids())
-        return Labelling.over(graph, label_set, labels)
-
-    return PLF(graph, LabellingSpec(label_set), probs.map(labelling))
+    """Labelling frame marking each outcome's members ``member``, the rest
+    ``other``: each outcome's label row, handed over as one factor."""
+    ids = graph.ids()
+    rows = probs.along(tuple(member if a in s else other for a in ids) for s in probs.nums)
+    return PLF._formed(graph, LabellingSpec(label_set), _Factors._whole(len(ids), rows))
 
 
 def _sets_from_plf(plf: PLF, label_set: LabelSet, member: ArgLabel, name: str) -> Distribution:
@@ -613,7 +613,7 @@ def plf_with_semantics(
             kernels.append({r: tuple((t, m // len(rows)) for t in rows) for r, rows in seen.items()})
         scales.append(m)
     factors = _Factors(tuple(components), pgf.probs.along(parts), tuple(kernels), tuple(scales))
-    return PLF._of_factors(graph, spec, factors)
+    return PLF._formed(graph, spec, factors)
 
 
 def pef_from_plf(plf: PLF) -> PEF:

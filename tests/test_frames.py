@@ -15,6 +15,9 @@ from arglab import (
     ArgLabel,
     CapExceededError,
     DistributionError,
+    Labelling,
+    LabellingSpec,
+    LabelSet,
     Semantics,
     StatementLabel,
     SublabellingWeights,
@@ -244,13 +247,60 @@ def test_pef_round_trip_and_marginal(mutual_graph):
         assert labelling.with_label(ArgLabel.UN) == frozenset()
 
 
+def _rows(table):
+    return {key: list(dist.items()) for key, dist in table.items()}
+
+
 @given(theories(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_pef_round_trip_random(theory, data):
+    """A believed-set frame round-trips through its labelling frame.  A frame
+    built by hand, and those of plf_from_pgf and plf_from_pef, build ``probs``
+    only when read, and the checked constructor rebuilds each from its own
+    ``probs``, with the same outcomes, tables and rows in the same order."""
     graph = capped_graph(theory, min_args=1)
-    believed = st.frozensets(st.sampled_from(graph.ids()))
-    pef = PEF(graph, data.draw(distributions(believed)))
+    ids = graph.ids()
+    subsets = st.frozensets(st.sampled_from(ids))
+    pef = PEF(graph, data.draw(distributions(subsets)))
     assert dict(pef_from_plf(plf_from_pef(pef)).probs) == dict(pef.probs)
+    label_set = data.draw(st.sampled_from(list(LabelSet)))
+    labels = sorted(label_set.labels, key=lambda l: l.rank)
+    rows = data.draw(distributions(st.tuples(*[st.sampled_from(labels) for _ in ids])))
+    hand = PLF(graph, LabellingSpec(label_set),
+               [(Labelling.over(graph, label_set, row), p) for row, p in rows.items()])
+    pgf = PGF(graph, data.draw(distributions(subsets)))
+    for plf in (hand, plf_from_pgf(pgf), plf_from_pef(pef)):
+        assert "probs" not in vars(plf)
+        rebuilt = PLF(plf.graph, plf.spec, list(plf.probs.items()))
+        assert list(rebuilt.probs.items()) == list(plf.probs.items())
+        assert _rows(rebuilt.marginals) == _rows(plf.marginals)
+        assert _rows(rebuilt.conclusion_label_sets) == _rows(plf.conclusion_label_sets)
+        assert rebuilt.support() == plf.support()
+    assert [(l.labels, p) for l, p in hand.probs.items()] == list(rows.items())
+
+
+def test_frames_are_handed_over_unchecked(running_theory, mutual_graph, monkeypatch):
+    """The engine's labelling frames skip the checked constructor, whose
+    checks hold by construction, and reading them never calls it either."""
+
+    def checked(*args):
+        raise AssertionError("the frame was checked again")
+
+    monkeypatch.setattr(PLF, "__init__", checked)
+    pgf = pgf_from_ptf(ptf_independent(running_theory))
+    weights = SublabellingWeights.from_entries(
+        [({"rb()": ArgLabel.IN}, F(1, 3)), ({"rc()": ArgLabel.IN}, F(2, 3))]
+    )
+    frames = [
+        plf_with_semantics(pgf, Semantics.GROUNDED),
+        plf_with_semantics(PGF(mutual_graph, {fs("rb()", "rc()"): F(1)}), Semantics.PREFERRED,
+                           weights),
+        plf_from_pgf(pgf),
+        plf_from_pef(PEF(mutual_graph, {fs("rb()"): F(1)})),
+    ]
+    for plf in frames:
+        assert plf.probs and plf.marginals and plf.conclusion_label_sets
+    assert frames[1].marginals["rb()"][ArgLabel.IN] == F(1, 3)
 
 
 def test_pag_subgraph_probability(mutual_graph):
@@ -307,6 +357,26 @@ def test_distribution_validation(mutual_graph):
         PAG(mutual_graph, {"rb()": F(1)})  # missing an argument
     with pytest.raises(DistributionError):
         PAG(mutual_graph, {"rb()": F(1), "rc()": F(2)})  # out of range
+
+
+def test_checked_plf_pins_each_outcome_message(mutual_graph):
+    """The checked constructor refuses a labelling in another label set, over
+    other ids, with a label short, or with a label outside its label set."""
+    ids = mutual_graph.ids()
+    spec = LabellingSpec(LabelSet.IN_OUT_UN)
+    wrong = [
+        (Labelling(LabelSet.ON_OFF, ids, (ArgLabel.ON, ArgLabel.OFF)),
+         r"^labelling outcome has the wrong label set$"),
+        (Labelling(LabelSet.IN_OUT_UN, ids[:1], (ArgLabel.IN,)),
+         r"^labelling outcome is not total over the graph$"),
+        (Labelling(LabelSet.IN_OUT_UN, ids, (ArgLabel.IN,)),
+         r"^labelling outcome does not give one label per argument$"),
+        (Labelling(LabelSet.IN_OUT_UN, ids, (ArgLabel.ON, ArgLabel.OFF)),
+         r"^labelling outcome has a label outside its label set$"),
+    ]
+    for labelling, message in wrong:
+        with pytest.raises(DistributionError, match=message):
+            PLF(mutual_graph, spec, {labelling: F(1)})
 
 
 def test_distribution_probabilities_are_exact(mutual_graph):
