@@ -290,20 +290,24 @@ class _Factors:
 
     @classmethod
     def _whole(cls, width: int, rows: Distribution) -> "_Factors":
-        """One factor over all ``width`` arguments of a graph, each label row,
-        a tuple in ``graph.ids()`` order, its own part."""
+        """One factor over a graph's ``width`` arguments, each label row its own part."""
         kernel = {t: ((t, 1),) for t in rows.nums}
         return cls((tuple(range(width)),), rows.along((t,) for t in rows.nums), (kernel,), (1,))
+
+
+class _LabelSets(dict):
+    def __missing__(self, labels: Tuple[ArgLabel, ...]) -> FrozenSet[ArgLabel]:
+        self[labels] = found = frozenset(labels)
+        return found
 
 
 class PLF:
     """Probabilistic labelling frame: distribution over labellings.
 
-    A frame is its graph, its spec and its factors.  ``PLF(graph, spec,
-    probs)`` checks outside input, each labelling total over the graph in the
-    spec's label set, and holds it as one factor, each labelling its own
-    part; ``PLF._formed`` hands over the engine's factors unchecked.
-    ``probs`` is built from the factors when read.
+    A frame is its graph, its spec and its factors, and ``probs`` is built
+    from them when read.  ``PLF(graph, spec, probs)`` checks outside input,
+    each labelling total over the graph in the spec's label set, and holds it
+    as one factor; ``PLF._formed`` hands over the engine's factors unchecked.
     """
 
     def __init__(self, graph: ArgumentationGraph, spec: LabellingSpec,
@@ -364,7 +368,8 @@ class PLF:
         Statement labels depend on that set alone, so one table serves every
         statement, label and scheme.  A statement's row joins only the
         factors holding its concluding arguments, and pushes their joint
-        forward onto the sets of those arguments' labels.
+        forward onto the sets of those arguments' labels, each set built once
+        per frame (:class:`_LabelSets`), however often its tuple recurs.
         """
         factors = self._factors
         owner = {j: i for i, positions in enumerate(factors.positions) for j in positions}
@@ -373,14 +378,14 @@ class PLF:
         for j, arg_id in enumerate(self.graph.ids()):
             concluding.setdefault(arguments[arg_id].conclusion, []).append(j)
         joints: Dict[Tuple[int, ...], Tuple[Distribution, Dict[int, Tuple[ArgLabel, ...]]]] = {}
-        table = {}
+        table, label_sets = {}, _LabelSets()
         for c, js in concluding.items():
             held = tuple(sorted({owner[j] for j in js}))
             if held not in joints:
                 positions, joint = factors.joint(held)
                 joints[held] = joint, dict(zip(positions, zip(*joint.nums)))
             joint, columns = joints[held]
-            table[c] = joint.along(map(frozenset, zip(*(columns[j] for j in js))))
+            table[c] = joint.along(map(label_sets.__getitem__, zip(*(columns[j] for j in js))))
         return table
 
 
@@ -448,8 +453,7 @@ def _plf_from_sets(
     member: ArgLabel,
     other: ArgLabel,
 ) -> PLF:
-    """Labelling frame marking each outcome's members ``member``, the rest
-    ``other``: each outcome's label row, handed over as one factor."""
+    """Labelling frame marking each outcome's members ``member``, the rest ``other``."""
     ids = graph.ids()
     rows = probs.along(tuple(member if a in s else other for a in ids) for s in probs.nums)
     return PLF._formed(graph, LabellingSpec(label_set), _Factors._whole(len(ids), rows))
