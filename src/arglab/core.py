@@ -345,6 +345,11 @@ class ArgLabel(Enum):
 _LABEL_RANK = {label: rank for rank, label in enumerate(ArgLabel)}  # declaration order
 
 
+def _rank_key(labels: Iterable[ArgLabel]) -> Tuple[int, ...]:
+    """The order of labellings and label rows: label ranks in canonical-id order."""
+    return tuple(map(_LABEL_RANK.__getitem__, labels))
+
+
 class LabelSet(Enum):
     ON_OFF = frozenset({ArgLabel.ON, ArgLabel.OFF})
     IN_OUT_UN = frozenset({ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN})
@@ -419,7 +424,7 @@ class Labelling:
 
     def sort_key(self) -> Tuple[int, ...]:
         """Deterministic order: label ranks in canonical-id order."""
-        return tuple(map(_LABEL_RANK.__getitem__, self.labels))
+        return _rank_key(self.labels)
 
     def __str__(self) -> str:
         body = ", ".join(f"{a}={l.value}" for a, l in zip(self.ids, self.labels))

@@ -185,24 +185,19 @@ def _product(items: Mapping[str, Fraction]) -> Distribution:
     """Subsets under independent inclusion, each item present with its probability.
 
     Only items with 0 < p < 1 are branched on: the others are in every subset
-    or in none, so 2^k subsets are visited for k uncertain items.  Over the
-    product of their denominators, a subset's numerator is the product of
-    each item's numerator n, when present, or d - n, when absent.
+    or in none.  From the certain set, each of the k uncertain items, in sorted
+    order, with probability n/d, doubles the (subset, numerator) pairs held:
+    each becomes its subset without the item, times d - n, then with it, times
+    n, so 2^k pairs over the product of the denominators d.
     """
-    certain = frozenset(i for i, p in items.items() if p == 1)
-    factors = [(i, p.numerator, p.denominator) for i, p in sorted(items.items()) if 0 < p < 1]
-    pairs = []
-    for bits in itertools.product((False, True), repeat=len(factors)):
-        subset = set(certain)
-        num = 1
-        for (item, n, d), present in zip(factors, bits):
-            if present:
-                subset.add(item)
-                num *= n
-            else:
-                num *= d - n
-        pairs.append((frozenset(subset), num))
-    return Distribution(math.prod(d for _, _, d in factors), pairs)
+    pairs = [(frozenset(i for i, p in items.items() if p == 1), 1)]
+    den = 1
+    for item, p in sorted(items.items()):
+        if 0 < p < 1:
+            n, d = p.numerator, p.denominator
+            pairs = [pair for s, m in pairs for pair in ((s, m * (d - n)), (s | {item}, m * n))]
+            den *= d
+    return Distribution(den, pairs)
 
 
 def _check_unit(p, what: str) -> None:
@@ -517,8 +512,6 @@ class SublabellingWeights:
         k = len(inner_labellings)
         if k <= 1:
             return [ONE] * k
-        if not self.entries:
-            return [Fraction(1, k)] * k
         weights = []
         for labelling in inner_labellings:
             mapping = labelling.mapping

@@ -14,7 +14,6 @@ from .core import (
     DefeasibleTheory,
     Justification,
     Labelling,
-    LabelSet,
     Literal,
     in_conflict,
 )
@@ -146,7 +145,7 @@ def justification_from_plf(plf: PLF, arg_id: str) -> Justification:
     """
     row = plf.marginals[arg_id]
     nums, den = row.nums, row.den
-    if plf.spec.label_set is LabelSet.IN_OUT_UN_OFF and nums.get(ArgLabel.OFF) == den:
+    if nums.get(ArgLabel.OFF) == den:
         return Justification.OFJ
     n_in = nums.get(ArgLabel.IN, 0)
     if n_in == den:

@@ -26,11 +26,12 @@ bitmasks: ``graph.attacker_masks`` holds the attackers of each argument,
 bit j standing for ``graph.ids()[j]``, and the IN, OUT and absent sets of a
 search are ``int`` masks over the same positions.  One function,
 :func:`label_rows`, runs the search for a subgraph and returns its label
-rows at given positions, sorted; :func:`grounded_labelling`,
-:func:`subgraph_labellings` and :func:`labellings` build their labellings
-from its rows at every position, with :meth:`Labelling.over`, so none is
-sorted or checked again.  A labelling frame asks it for the rows of each
-part at its component's positions alone, and builds no labelling.
+rows at given positions, sorted.  :func:`grounded_labelling` and
+:func:`subgraph_labellings` build a labelling from each of its rows at every
+position, with :meth:`Labelling.over`; :func:`labellings` holds the rows of
+every branch first, sorts them once and builds each labelling once.  So none
+is sorted or checked again.  A labelling frame asks :func:`label_rows` for
+the rows of each part at its component's positions alone, and builds none.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import _LABEL_RANK, ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits
+from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits, _rank_key
 from .construct import is_legal, is_rule_complete, is_subargument_complete
 from .errors import CapExceededError
 
@@ -198,7 +199,7 @@ def _maximal(sets: List[int]) -> List[int]:
     return kept
 
 
-_IN, _OUT, _UN, _OFF = ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN, ArgLabel.OFF
+_IN, _OUT, _UN, _ON, _OFF = ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN, ArgLabel.ON, ArgLabel.OFF
 
 
 def _in_set_labels(att: Sequence[int], s: int, absent: int, positions: Iterable[int]) -> Labels:
@@ -225,10 +226,6 @@ def _cf_labels(att: Sequence[int], absent: int, positions: Sequence[int]) -> Lis
         ]
         out.extend(itertools.product(*choices))
     return out
-
-
-def _rank_key(row: Labels) -> Tuple[int, ...]:
-    return tuple(map(_LABEL_RANK.__getitem__, row))
 
 
 def label_rows(
@@ -298,31 +295,36 @@ def labellings(
     spec: LabellingSpec,
     max_args: int = MAX_ENUM_ARGUMENTS,
 ) -> List[Labelling]:
-    """All labellings the given LabellingSpec admits, in deterministic order."""
+    """All labellings the given LabellingSpec admits, in deterministic order.
+
+    Each branch yields label rows over ``graph.ids()``, a combined spec those
+    of :func:`label_rows` for each admitted subgraph; the rows are sorted once
+    and each becomes one labelling.  Only the whole graph's cap is checked.
+    """
     check_cap(len(graph.arguments), max_args)
     ids = graph.ids()
-    result: List[Labelling] = []
+    every = range(len(ids))
 
     if spec.label_set is LabelSet.ON_OFF:
         admit = _CRITERION_TESTS[spec.criterion]
-        for s in _subsets(ids):
-            if admit(graph, s):
-                labels = (ArgLabel.ON if a in s else ArgLabel.OFF for a in ids)
-                result.append(Labelling.over(graph, LabelSet.ON_OFF, labels))
+        rows = (
+            tuple(_ON if a in s else _OFF for a in ids) for s in _subsets(ids) if admit(graph, s)
+        )
 
     elif spec.label_set is LabelSet.IN_OUT_UN:
         if spec.semantics is None:
-            rows = itertools.product((ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN), repeat=len(ids))
+            rows = itertools.product((_IN, _OUT, _UN), repeat=len(ids))
         else:
-            rows = label_rows(graph, (1 << len(ids)) - 1, spec.semantics, range(len(ids)))
-        result = [Labelling.over(graph, LabelSet.IN_OUT_UN, row) for row in rows]
+            rows = label_rows(graph, (1 << len(ids)) - 1, spec.semantics, every)
 
     else:  # IN_OUT_UN_OFF: combined labellings over admissible subgraphs
         if spec.semantics is None:
             raise ValueError("combined {IN,OUT,UN,OFF} labellings need a semantics")
         admit = is_legal if spec.legal_only else is_subargument_complete
-        for s in _subsets(ids):
-            if admit(graph, s):
-                result += subgraph_labellings(graph, s, spec.semantics, max_args)
+        bit = graph._bit
+        rows = (
+            row for s in _subsets(ids) if admit(graph, s)
+            for row in label_rows(graph, sum(map(bit.__getitem__, s)), spec.semantics, every)
+        )
 
-    return sorted(result, key=Labelling.sort_key)
+    return [Labelling.over(graph, spec.label_set, row) for row in sorted(rows, key=_rank_key)]

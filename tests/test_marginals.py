@@ -20,6 +20,7 @@ from arglab import (
     lit,
     pgf_from_ptf,
     plf_from_pef,
+    plf_from_pgf,
     plf_with_semantics,
     ptf_independent,
     semi_skeptical_justification,
@@ -72,15 +73,21 @@ def test_justification_crj_both(mutual_plf):
     assert justification_from_plf(mutual_plf, C) is Justification.CRJ
 
 
-def test_justification_matches_semi_skeptical(running_theory):
-    plf = plf_with_semantics(
-        pgf_from_ptf(ptf_independent(running_theory)), Semantics.GROUNDED
-    )
-    support = plf.support()
-    for arg_id in plf.graph.arguments:
-        assert justification_from_plf(plf, arg_id) is semi_skeptical_justification(
-            support, arg_id
-        )
+def test_justification_matches_semi_skeptical(running_theory, mutual_graph):
+    pgf = pgf_from_ptf(ptf_independent(running_theory))
+    # an argument OFF in every {ON, OFF} labelling is off-justified there too
+    on, off = ArgLabel.ON, ArgLabel.OFF
+    on_off = PLF(mutual_graph, LabellingSpec(LabelSet.ON_OFF), {
+        Labelling.from_mapping(LabelSet.ON_OFF, {B: on, C: off}): F(1, 2),
+        Labelling.from_mapping(LabelSet.ON_OFF, {B: off, C: off}): F(1, 2),
+    })
+    for plf in (plf_with_semantics(pgf, Semantics.GROUNDED), plf_from_pgf(pgf), on_off):
+        support = plf.support()
+        for arg_id in plf.graph.arguments:
+            assert justification_from_plf(plf, arg_id) is semi_skeptical_justification(
+                support, arg_id
+            )
+    assert justification_from_plf(on_off, C) is Justification.OFJ
 
 
 def test_statement_label_clauses(mutual_graph):

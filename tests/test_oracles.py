@@ -330,15 +330,39 @@ def combine_with_off(graph, inner):
     return Labelling.from_mapping(LabelSet.IN_OUT_UN_OFF, labels)
 
 
-def brute_force_combined(graph, semantics):
-    """Combined {IN, OUT, UN, OFF} labellings over every subargument-complete subset."""
+def brute_force_combined(graph, semantics, admit=is_subargument_complete):
+    """Combined {IN, OUT, UN, OFF} labellings over every admitted subset,
+    subargument-complete ones by default."""
     ids = sorted(graph.arguments)
     result = []
     for bits in itertools.product((False, True), repeat=len(ids)):
         s = frozenset(a for a, b in zip(ids, bits) if b)
-        if is_subargument_complete(graph, s):
+        if admit(graph, s):
             for inner in brute_force_labellings(induced_subgraph(graph, s), semantics):
                 result.append(combine_with_off(graph, inner))
+    return sorted(result, key=Labelling.sort_key)
+
+
+def brute_force_on_off(graph, criterion):
+    """{ON, OFF} labellings of every subset the criterion's test admits, in sorted order."""
+    ids = sorted(graph.arguments)
+    admit = semantics_module._CRITERION_TESTS[criterion]
+    result = []
+    for bits in itertools.product((False, True), repeat=len(ids)):
+        s = frozenset(a for a, b in zip(ids, bits) if b)
+        if admit(graph, s):
+            labels = {a: ArgLabel.ON if a in s else ArgLabel.OFF for a in ids}
+            result.append(Labelling.from_mapping(LabelSet.ON_OFF, labels))
+    return sorted(result, key=Labelling.sort_key)
+
+
+def brute_force_assignments(graph):
+    """Every {IN, OUT, UN} assignment, in sorted order."""
+    ids = sorted(graph.arguments)
+    result = [
+        Labelling.from_mapping(LabelSet.IN_OUT_UN, dict(zip(ids, combo)))
+        for combo in itertools.product([ArgLabel.IN, ArgLabel.OUT, ArgLabel.UN], repeat=len(ids))
+    ]
     return sorted(result, key=Labelling.sort_key)
 
 
@@ -886,6 +910,34 @@ def test_combined_labellings_match_brute_force(theory, policy, semantics):
     assert labellings(graph, spec) == brute_force_combined(graph, semantics)
 
 
+@given(theories(max_rules=5), policies, st.sampled_from(Semantics))
+@settings(max_examples=80, deadline=None)
+def test_labellings_are_built_from_label_rows(theory, policy, semantics):
+    """Every spec's labellings match the brute-force enumerations, built from
+    label rows: none through ``subgraph_labellings``, none sorted as a labelling."""
+    graph = capped_graph(theory, policy, max_args=6)
+    expected = [
+        (LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics),
+         brute_force_combined(graph, semantics)),
+        (LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=True),
+         brute_force_combined(graph, semantics, is_legal)),
+        *((LabellingSpec(LabelSet.ON_OFF, criterion=criterion),
+           brute_force_on_off(graph, criterion)) for criterion in OnOffCriterion),
+        (LabellingSpec(LabelSet.IN_OUT_UN, semantics=semantics),
+         brute_force_labellings(graph, semantics)),
+        (LabellingSpec(LabelSet.IN_OUT_UN), brute_force_assignments(graph)),
+    ]
+
+    def refused(*args):
+        raise AssertionError("labellings went through a labelling-level path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics_module, "subgraph_labellings", refused)
+        patch.setattr(Labelling, "sort_key", refused)
+        for spec, labelled in expected:
+            assert labellings(graph, spec) == labelled
+
+
 def _pasted(graph, subset, semantics):
     """Brute-force labellings of the validated induced subgraph, OFF pasted around them."""
     inner = brute_force_labellings(induced_subgraph(graph, subset), semantics)
@@ -1382,9 +1434,8 @@ def exact_cell(p):
 def fraction_justification(plf, arg_id):
     """The justification read off ``Fraction`` probabilities."""
     p_in = argument_label_probability(plf, arg_id, ArgLabel.IN)
-    if plf.spec.label_set is LabelSet.IN_OUT_UN_OFF:
-        if argument_label_probability(plf, arg_id, ArgLabel.OFF) == 1:
-            return Justification.OFJ
+    if argument_label_probability(plf, arg_id, ArgLabel.OFF) == 1:
+        return Justification.OFJ
     if p_in == 1:
         return Justification.SKJ
     return Justification.CRJ if p_in > 0 else Justification.NOJ
