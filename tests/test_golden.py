@@ -23,6 +23,10 @@ believed sets in either component.  ``shared.dl`` uses one
 uncertain rule, ``r``, in two components, beside a mutual attack whose
 argument ``np()`` is uncertain: ``a`` is IN with probability 1/2, where the
 product of its two components' margins would give 7/12.
+``groups.dl`` has five components in four independent groups: two
+components share the uncertain rule ``y``, ``z0`` has p = 0 and is used by
+two arguments, ``r2`` has p = 1, and ``u`` is uncertain and used by no
+argument.
 ``layered.dl`` is ``tests/generators.layered_theory(2, 5)``: 67 arguments
 with long shared-prefix ids, rebuttals and undercuts reaching every argument
 built on top (171 attacks under last-link, 246 without preferences), and 60
@@ -162,6 +166,17 @@ def cases():
     out.append(("twin-check-plf-grounded",
                 ["check", "twin.dl", "--frame", "plf:twin.plf", "--semantics", "grounded"]))
     out.append(("shared-check", ["check", "shared.dl"]))
+    # groups.dl: components grouped by shared uncertain rules, with p = 0, p = 1
+    # and an uncertain rule no argument uses
+    for semantics in ("preferred", "stable"):
+        out.append((f"groups-marginal-{semantics}",
+                    ["marginal", "groups.dl", "--semantics", semantics]))
+        out.append((f"groups-check-{semantics}", ["check", "groups.dl", "--semantics", semantics]))
+    # exit 2: a pag: subgraph with no stable labelling, and a subgraph that is not legal
+    out.append(("odd_loop-pag-marginal-stable",
+                ["marginal", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--semantics", "stable"]))
+    out.append(("odd_loop-pag-marginal-legal",
+                ["marginal", "odd_loop.dl", "--frame", "pag:odd_loop.pag", "--legal-only"]))
     # one target of each form: an argument, a concluded statement under both
     # schemes, an unproposed statement, and an unknown argument id (exit 2)
     out.append(("running-marginal-target-arg",
