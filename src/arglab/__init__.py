@@ -41,8 +41,10 @@ from .frames import (
     pef_from_plf,
     pgf_from_plf,
     pgf_from_ptf,
+    plf_from_pag,
     plf_from_pef,
     plf_from_pgf,
+    plf_independent,
     plf_with_semantics,
     ptf_independent,
 )

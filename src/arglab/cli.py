@@ -45,11 +45,11 @@ from .frames import (
     PLF,
     PTF,
     SublabellingWeights,
-    pag_to_pgf,
     pgf_from_ptf,
+    plf_from_pag,
     plf_from_pef,
+    plf_independent,
     plf_with_semantics,
-    ptf_independent,
 )
 from .marginals import (
     StatementLabel,
@@ -223,7 +223,9 @@ def _build_plf(args, theory) -> PLF:
     """Resolve the --frame option into a labelling frame.
 
     Rule-subset frames push the theory forward and build their own graph; the
-    file-based frames over arguments load it here.  ``plf:`` and ``pef:``
+    file-based frames over arguments load it here.  The ``independent`` and
+    ``pag:`` frames are built from independent groups of components
+    (:func:`plf_independent`, :func:`plf_from_pag`).  ``plf:`` and ``pef:``
     frames are labellings already: --semantics labels every other frame, and
     --weights and --legal-only apply only there.  A ``plf:`` frame is
     epistemic, with no semantics in its spec, unless --semantics is given:
@@ -253,9 +255,12 @@ def _build_plf(args, theory) -> PLF:
     max_args_enum = _option(args, "max_args_enum")
     weights = _load_weights(args.weights)
     text = Path(file_part).read_text() if colon else ""
-    if not colon or kind == "ptf":
-        ptf = PTF(theory, parse_subset_distribution(text)) if colon else ptf_independent(theory)
-        pgf = pgf_from_ptf(ptf, policy=PreferencePolicy(args.policy))
+    policy = PreferencePolicy(args.policy)
+    options = {"weights": weights, "legal_only": args.legal_only, "max_args": max_args_enum}
+    if not colon:
+        return plf_independent(theory, semantics, policy=policy, **options)
+    if kind == "ptf":
+        pgf = pgf_from_ptf(PTF(theory, parse_subset_distribution(text)), policy=policy)
     else:
         graph = _load_graph(args, theory)
         if kind == "plf":
@@ -278,10 +283,8 @@ def _build_plf(args, theory) -> PLF:
             pgf = PGF(graph, parse_subset_distribution(text))
         else:  # pag
             pag = PAG(graph.without_sub_edges(), parse_argument_probabilities(text))
-            pgf = pag_to_pgf(pag, max_args=max_args_enum)
-    return plf_with_semantics(
-        pgf, semantics, weights=weights, legal_only=args.legal_only, max_args=max_args_enum
-    )
+            return plf_from_pag(pag, semantics, **options)
+    return plf_with_semantics(pgf, semantics, **options)
 
 
 def _check_labellings(plf: PLF, semantics: Semantics, max_args: int) -> None:

@@ -14,19 +14,26 @@ by ``Distribution._summed``.  Read as a ``Mapping``, a distribution yields
 ``Fraction``s, so ``frame.probs`` and the rows of the tables are read-only
 ``Fraction`` mappings: only a value that is read or emitted becomes one.
 
-A labelling frame is a graph, a spec and its factors.  ``PLF(graph, spec,
-probs)`` checks outside input and holds it as one factor; ``PLF._formed``
-hands over the factors the engine built, unchecked.  :func:`plf_with_semantics`
-builds one factor per connected component of the graph's attacks and
-sub-edges (:attr:`ArgumentationGraph.components`), unless a sublabelling
-weight is given: no label crosses a component, so a subgraph's labellings
-are the product of its parts' labellings inside the components.  Tables are
-read per factor: an argument's row from its own factor, a statement's from
-the factors holding its concluding arguments only.  ``probs`` is built only
-when read, subgraph by subgraph in the subgraph distribution's order, and
-each subgraph's labellings in the product order of its parts' labellings,
-the first factor outermost.  A statement's row lists its label sets in the
-order they first occur there.
+A labelling frame is a graph, a spec and its factors, the factors held in
+independent groups.  ``PLF(graph, spec, probs)`` checks outside input and
+holds it as one factor in one group; ``PLF._formed`` hands over the factors
+the engine built, unchecked.  :func:`plf_with_semantics` builds one factor
+per connected component of the graph's attacks and sub-edges
+(:attr:`ArgumentationGraph.components`), unless a sublabelling weight is
+given: no label crosses a component, so a subgraph's labellings are the
+product of its parts' labellings inside the components.  Its factors form
+one group, whose source is the subgraph distribution keyed by each
+subgraph's parts.  The ``independent`` frame (:func:`plf_independent`) and
+an argument frame (:func:`plf_from_pag`) are products of independent items,
+rules or arguments, and are built group by group: the components needing a
+common uncertain item are one group, which enumerates its own items alone,
+so the joint subgraph distribution is never built.  Tables are read per
+factor: an argument's row from its own factor's group, a statement's from
+the groups of the factors holding its concluding arguments only.  ``probs``
+is built only when read, in the product order of the groups, the first
+group outermost, each group's parts in its source's order, and each
+combination's labellings in the product order of its parts' labellings.  A
+statement's row lists its label sets in the order they first occur there.
 
 * PTF: distribution over subsets of rule ids of a theory.
 * PGF: distribution over subsets of argument ids of a graph.
@@ -53,6 +60,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -80,7 +88,6 @@ from .semantics import (
     check_cap,
     label_rows,
     labellings as enumerate_labellings,  # not called here; perfbench/test_gate.py reads the alias
-    subgraph_labellings,
 )
 
 ONE = Fraction(1)
@@ -206,13 +213,9 @@ def _check_unit(p, what: str) -> None:
         raise DistributionError(f"p({what}) = {p} outside [0, 1]")
 
 
-def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RULES) -> PTF:
-    """Product distribution from per-rule probabilities.
-
-    Rules without a declared probability are treated as certain (p = 1).
-    Raises CapExceededError, before any subset is built, when more than
-    ``max_rules`` rules have 0 < p < 1.
-    """
+def _rule_chances(theory: DefeasibleTheory, max_rules: int) -> Dict[str, Fraction]:
+    """Each rule's probability, 1 where none is declared; raises
+    CapExceededError when more than ``max_rules`` rules have 0 < p < 1."""
     for rid, p in theory.rule_probs.items():
         _check_unit(p, rid)
     uncertain = sum(1 for p in theory.rule_probs.values() if 0 < p < 1)
@@ -220,7 +223,17 @@ def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RUL
         raise CapExceededError(
             f"{uncertain} uncertain rules exceeds the subtheory enumeration cap of {max_rules}"
         )
-    return PTF(theory, _product({rid: theory.rule_probs.get(rid, ONE) for rid in theory.rules}))
+    return {rid: theory.rule_probs.get(rid, ONE) for rid in theory.rules}
+
+
+def ptf_independent(theory: DefeasibleTheory, max_rules: int = MAX_SUBTHEORY_RULES) -> PTF:
+    """Product distribution from per-rule probabilities.
+
+    Rules without a declared probability are treated as certain (p = 1).
+    Raises CapExceededError, before any subset is built, when more than
+    ``max_rules`` rules have 0 < p < 1.
+    """
+    return PTF(theory, _product(_rule_chances(theory, max_rules)))
 
 
 @dataclass(frozen=True)
@@ -235,59 +248,82 @@ class PGF(_Frame):
             raise DistributionError(f"subset {sorted(subset)} mentions unknown arguments")
 
 
+Kernel = Mapping[Hashable, Tuple[Tuple[Tuple[ArgLabel, ...], int], ...]]
+
+
 @dataclass(frozen=True)
 class _Factors:
-    """A labelling distribution split over blocks of arguments.
+    """A labelling distribution split over blocks of arguments, the blocks
+    over independent groups.
 
     Factor i labels the arguments at ``positions[i]``, ascending positions in
-    ``graph.ids()``.  ``source`` is a distribution over tuples of parts, one
-    part per factor.  ``kernels[i]`` maps each part of factor i to its label
-    tuples at ``positions[i]``, each with a numerator over ``scales[i]``.
+    ``graph.ids()``.  Each of ``groups`` is a pair: the indices of its
+    factors, ascending, and its source, a distribution over tuples of their
+    parts, one part per factor.  Every factor lies in one group, and the
+    groups are independent: the frame's distribution over parts is the
+    product of their sources.  ``kernels[i]`` maps each part of factor i to
+    its label tuples at ``positions[i]``, each with a numerator over
+    ``scales[i]``.
     """
 
     positions: Tuple[Tuple[int, ...], ...]
-    source: Distribution
-    kernels: Tuple[Mapping[Hashable, Tuple[Tuple[Tuple[ArgLabel, ...], int], ...]], ...]
+    groups: Tuple[Tuple[Tuple[int, ...], Distribution], ...]
+    kernels: Tuple[Kernel, ...]
     scales: Tuple[int, ...]
 
     @cached_property
     def dists(self) -> Tuple[Distribution, ...]:
         """Each factor's distribution over its label tuples: its margin of
-        ``source`` pushed through its kernel."""
-        dists = []
-        for i, (kernel, scale) in enumerate(zip(self.kernels, self.scales)):
-            margin = self.source.along(parts[i] for parts in self.source.nums)
-            dists.append(Distribution(margin.den * scale, (
-                (t, n * w) for r, n in margin.nums.items() for t, w in kernel[r]
-            )))
-        return tuple(dists)
+        its group's source pushed through its kernel."""
+        dists: Dict[int, Distribution] = {}
+        for factors, source in self.groups:
+            for k, i in enumerate(factors):
+                margin = source.along(parts[k] for parts in source.nums)
+                kernel = self.kernels[i]
+                dists[i] = Distribution(margin.den * self.scales[i], (
+                    (t, n * w) for r, n in margin.nums.items() for t, w in kernel[r]
+                ))
+        return tuple(map(dists.__getitem__, range(len(self.positions))))
 
     def joint(self, factors: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Distribution]:
         """The given factors together: their positions, ascending, and the
-        distribution over label tuples at them.  ``source`` is pushed onto the
-        factors' parts, and each combination, in the order it first occurs
-        there, expands into the product of its parts' label tuples, the first
-        factor outermost."""
+        distribution over label tuples at them.
+
+        Each group holding some of them has its source pushed onto their
+        parts, and the groups' pushforwards are multiplied, exact by
+        independence, the first group outermost.  Each combination of parts
+        expands into the product of its parts' label tuples, the factors
+        taken group by group, the first outermost."""
         if len(factors) == 1:
             return self.positions[factors[0]], self.dists[factors[0]]
-        joined = [j for i in factors for j in self.positions[i]]
+        wanted = set(factors)
+        held: List[int] = []
+        combos, den = [((), 1)], 1
+        for members, source in self.groups:
+            ks = [k for k, i in enumerate(members) if i in wanted]
+            if ks:
+                held += (members[k] for k in ks)
+                margin = source.along(tuple(parts[k] for k in ks) for parts in source.nums)
+                combos = [(c + r, m * n) for c, m in combos for r, n in margin.nums.items()]
+                den *= margin.den
+        joined = [j for i in held for j in self.positions[i]]
         order = sorted(range(len(joined)), key=joined.__getitem__)
         arrange = operator.itemgetter(*order)  # two or more positions: a tuple
-        combos = self.source.map(operator.itemgetter(*factors))
-        kernels = [self.kernels[i] for i in factors]
+        kernels = [self.kernels[i] for i in held]
         pairs = (
             (arrange(sum((t for t, _ in combo), ())), n * math.prod(w for _, w in combo))
-            for parts, n in combos.nums.items()
+            for parts, n in combos
             for combo in itertools.product(*(k[r] for k, r in zip(kernels, parts)))
         )
-        den = combos.den * math.prod(self.scales[i] for i in factors)
+        den *= math.prod(self.scales[i] for i in held)
         return tuple(joined[k] for k in order), Distribution(den, pairs)
 
     @classmethod
     def _whole(cls, width: int, rows: Distribution) -> "_Factors":
         """One factor over a graph's ``width`` arguments, each label row its own part."""
         kernel = {t: ((t, 1),) for t in rows.nums}
-        return cls((tuple(range(width)),), rows.along((t,) for t in rows.nums), (kernel,), (1,))
+        source = rows.along((t,) for t in rows.nums)
+        return cls((tuple(range(width)),), (((0,), source),), (kernel,), (1,))
 
 
 class _LabelSets(dict):
@@ -329,9 +365,12 @@ class PLF:
 
     @cached_property
     def probs(self) -> Distribution:
-        """Every factor together, each outcome a labelling."""
+        """Every factor together, each outcome a labelling, in the product
+        order of the groups, the first group outermost (:meth:`_Factors.joint`).
+        For a frame of one group, such as :func:`plf_with_semantics` builds,
+        that is subgraph by subgraph in the subgraph distribution's order."""
         label_set, ids = self.spec.label_set, self.graph.ids()
-        _, joint = self._factors.joint(tuple(range(len(self._factors.dists))))
+        _, joint = self._factors.joint(tuple(range(len(self._factors.positions))))
         return joint.map(lambda labels: Labelling(label_set, ids, labels))
 
     def support(self) -> List[Labelling]:
@@ -533,6 +572,9 @@ class SublabellingWeights:
         return weights
 
 
+_UNWEIGHTED = SublabellingWeights()
+
+
 def plf_with_semantics(
     pgf: PGF,
     semantics: Semantics,
@@ -565,52 +607,172 @@ def plf_with_semantics(
     support subgraph, in the distribution's order, and the subgraph named
     for having no labelling is the first with a part that has none.
     """
-    weights = weights or SublabellingWeights()
+    weights = weights or _UNWEIGHTED
     graph = pgf.graph
     named = {a for assignment, _ in weights.entries for a, _ in assignment}
     unknown = sorted(named - graph.arguments.keys())
     if unknown:
         raise DistributionError(f"weights name unknown arguments {unknown}")
     admit = is_legal if legal_only else is_subargument_complete
-    spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
-    ids = graph.ids()
+    ids, bit = graph.ids(), graph._bit
     # weights are summed per whole labelling: with them, one factor
     components = [tuple(range(len(ids)))] if weights.entries or not ids else graph.components
-    blocks = [frozenset(ids[j] for j in positions) for positions in components]
-    parts = [tuple(subset & block for block in blocks) for subset in pgf.probs.nums]
-    bit = graph._bit
-    # per component, each distinct part's label rows at the component's positions
-    labelled: List[Dict[FrozenSet[str], List[Tuple[ArgLabel, ...]]]] = [{} for _ in components]
-    for subset, part in zip(pgf.probs.nums, parts):
+    blocks = [sum(1 << j for j in positions) for positions in components]
+    labelled = [_Parts(graph, semantics, positions, weights) for positions in components]
+    outcomes = []
+    for subset in pgf.probs.nums:
         if not admit(graph, subset):
             kind = "legal" if legal_only else "subargument-complete"
             raise DistributionError(f"subgraph {sorted(subset)} is not {kind}")
         check_cap(len(subset), max_args)
-        for positions, seen, r in zip(components, labelled, part):
-            if r not in seen:
-                seen[r] = label_rows(graph, sum(map(bit.__getitem__, r)), semantics, positions)
+        present = sum(map(bit.__getitem__, subset))
+        parts = tuple(present & block for block in blocks)
+        for seen, r in zip(labelled, parts):
             if not seen[r]:
                 raise DistributionError(
                     f"subgraph {sorted(subset)} has no {semantics.value} labelling"
                 )
-    kernels, scales = [], []
-    for seen in labelled:
-        if weights.entries:  # one factor: each row is a whole labelling
-            split = {
-                r: weights.weights_for([Labelling.over(graph, spec.label_set, t) for t in rows])
-                for r, rows in seen.items()
-            }
-            m = math.lcm(*(w.denominator for ws in split.values() for w in ws))
-            kernels.append({
-                r: tuple((t, w.numerator * (m // w.denominator)) for t, w in zip(seen[r], ws))
-                for r, ws in split.items()
-            })
-        else:  # each of a part's k rows weighs 1/k
-            m = math.lcm(*map(len, seen.values()))
-            kernels.append({r: tuple((t, m // len(rows)) for t in rows) for r, rows in seen.items()})
-        scales.append(m)
-    factors = _Factors(tuple(components), pgf.probs.along(parts), tuple(kernels), tuple(scales))
-    return PLF._formed(graph, spec, factors)
+        outcomes.append(parts)
+    group = (tuple(range(len(components))), pgf.probs.along(outcomes))
+    return _combined(graph, semantics, legal_only, components, (group,), labelled)
+
+
+def _combined(
+    graph: ArgumentationGraph,
+    semantics: Semantics,
+    legal_only: bool,
+    components: Sequence[Tuple[int, ...]],
+    groups: Tuple[Tuple[Tuple[int, ...], Distribution], ...],
+    labelled: Sequence["_Parts"],
+) -> PLF:
+    """The combined frame of these factors and groups, each factor's parts labelled."""
+    kernels, scales = zip(*(seen.kernel() for seen in labelled))
+    spec = LabellingSpec(LabelSet.IN_OUT_UN_OFF, semantics=semantics, legal_only=legal_only)
+    return PLF._formed(graph, spec, _Factors(tuple(components), groups, kernels, scales))
+
+
+class _Parts(dict):
+    """One factor's distinct parts, each a bitmask over ``graph.ids()``, each
+    mapped to its label rows at the factor's positions (:func:`label_rows`)
+    when first looked up.  With sublabelling weights (one factor, each row a
+    whole labelling) a part's weights are read off as soon as it is
+    labelled, so a subgraph's weight error comes before any later one's."""
+
+    def __init__(self, graph: ArgumentationGraph, semantics: Semantics,
+                 positions: Tuple[int, ...], weights: SublabellingWeights):
+        super().__init__()
+        self.graph, self.semantics, self.positions, self.weights = graph, semantics, positions, weights
+        self.split: Dict[int, List[Fraction]] = {}
+
+    def __missing__(self, part: int) -> List[Tuple[ArgLabel, ...]]:
+        self[part] = rows = label_rows(self.graph, part, self.semantics, self.positions)
+        if self.weights.entries:
+            labellings = [Labelling.over(self.graph, LabelSet.IN_OUT_UN_OFF, t) for t in rows]
+            self.split[part] = self.weights.weights_for(labellings)
+        return rows
+
+    def kernel(self) -> Tuple[Kernel, int]:
+        """Each part's rows with their numerators, over the scale returned:
+        the weights scaled to the least common multiple of their
+        denominators, or else each of a part's k rows weighing 1/k."""
+        if self.weights.entries:
+            m = math.lcm(*(w.denominator for ws in self.split.values() for w in ws))
+            return {
+                r: tuple((t, w.numerator * (m // w.denominator)) for t, w in zip(self[r], ws))
+                for r, ws in self.split.items()
+            }, m
+        m = math.lcm(*map(len, self.values()))
+        return {r: tuple((t, m // len(rows)) for t in rows) for r, rows in self.items()}, m
+
+
+def _grouped(
+    graph: ArgumentationGraph,
+    semantics: Semantics,
+    legal_only: bool,
+    max_args: int,
+    needs: Mapping[str, FrozenSet[str]],
+    chances: Mapping[str, Fraction],
+) -> Optional[PLF]:
+    """The combined frame of independent items (rules or arguments), built
+    group by group; None where the joint build is needed for its first error.
+
+    An argument in ``needs`` is present exactly when the uncertain items it
+    needs are, each independently with its probability in ``chances``; any
+    other argument is never present.  Components needing a common item are
+    one group, and each group enumerates only its own items with
+    :func:`_product`, each outcome mapped straight onto its components'
+    parts.  Every support subgraph is the union of one outcome per group, so
+    the largest has the sum of the groups' largest totals.  When that is
+    over ``max_args``, or some part has no labelling, the joint frame
+    refuses, and None is returned for it to name the first refused subgraph.
+    """
+    ids = graph.ids()
+    components = graph.components if ids else ((),)
+    # per component, each argument that can be present: its bit and the items it needs
+    live = [[(1 << j, needs[ids[j]]) for j in positions if ids[j] in needs]
+            for positions in components]
+    found: List[Tuple[List[int], set]] = []
+    for k, args in enumerate(live):
+        members, items = [k], set().union(*(n for _, n in args))
+        rest = []
+        for other, shared in found:
+            if shared & items:
+                members, items = other + members, items | shared
+            else:
+                rest.append((other, shared))
+        found = rest + [(members, items)]
+    found.sort(key=lambda group: min(group[0]))
+    groups, largest = [], 0
+    for members, items in found:
+        members.sort()
+        source = _product({item: chances[item] for item in items})
+        dist = source.along(
+            tuple(sum(b for b, n in live[k] if n <= s) for k in members) for s in source.nums
+        )
+        largest += max(sum(map(int.bit_count, parts)) for parts in dist.nums)
+        groups.append((tuple(members), dist))
+    if largest > max_args:
+        return None
+    labelled = [_Parts(graph, semantics, positions, _UNWEIGHTED) for positions in components]
+    for members, dist in groups:
+        for parts in dist.nums:
+            if not all(labelled[k][r] for k, r in zip(members, parts)):
+                return None
+    return _combined(graph, semantics, legal_only, components, tuple(groups), labelled)
+
+
+def plf_independent(
+    theory: DefeasibleTheory,
+    semantics: Semantics,
+    policy: PreferencePolicy = PreferencePolicy.LAST_LINK,
+    weights: Optional[SublabellingWeights] = None,
+    legal_only: bool = False,
+    max_args: int = MAX_ENUM_ARGUMENTS,
+) -> PLF:
+    """The frame of ``plf_with_semantics(pgf_from_ptf(ptf_independent(theory),
+    policy), semantics, weights, legal_only, max_args)``, built from
+    independent groups of components, with the same errors.
+
+    The rule probabilities are checked and the graph built first, as that
+    composition does.  An argument needs the uncertain rules it uses, and is
+    never present if it uses a rule with p = 0.  A subgraph pushed from a rule
+    subset S holds every argument whose rules lie in S, so it is legal by
+    construction and no admissibility test runs.  With weights, or where
+    :func:`_grouped` refuses, the composition itself builds the frame.
+    """
+    if not (weights and weights.entries):
+        chances = _rule_chances(theory, MAX_SUBTHEORY_RULES)
+        graph = build_graph(theory, policy=policy)
+        needs = {
+            a: frozenset(r for r in rules if chances[r] < 1)
+            for a, rules in ((a, arg.rules()) for a, arg in graph.arguments.items())
+            if all(chances[r] for r in rules)
+        }
+        plf = _grouped(graph, semantics, legal_only, max_args, needs, chances)
+        if plf is not None:
+            return plf
+    pgf = pgf_from_ptf(ptf_independent(theory), policy=policy)
+    return plf_with_semantics(pgf, semantics, weights, legal_only, max_args)
 
 
 def pef_from_plf(plf: PLF) -> PEF:
@@ -629,6 +791,33 @@ def pag_to_pgf(pag: PAG, max_args: int = MAX_ENUM_ARGUMENTS) -> PGF:
     return PGF(pag.graph, _product(pag.arg_probs))
 
 
+def plf_from_pag(
+    pag: PAG,
+    semantics: Semantics,
+    weights: Optional[SublabellingWeights] = None,
+    legal_only: bool = False,
+    max_args: int = MAX_ENUM_ARGUMENTS,
+) -> PLF:
+    """The frame of ``plf_with_semantics(pag_to_pgf(pag, max_args), semantics,
+    weights, legal_only, max_args)``, each component its own group, with the
+    same errors.
+
+    The whole graph's cap is checked first, as :func:`pag_to_pgf` checks it.
+    An argument with p = 0 is never present, and one with 0 < p < 1 needs
+    itself.  With weights, or ``legal_only`` (rule-completeness reads rules
+    used anywhere in a subgraph, not one component), or where
+    :func:`_grouped` refuses, the composition itself builds the frame.
+    """
+    if not (weights and weights.entries or legal_only):
+        check_cap(len(pag.graph.arguments), max_args)
+        needs = {a: frozenset([a] if p < 1 else ()) for a, p in pag.arg_probs.items() if p}
+        plf = _grouped(pag.graph, semantics, legal_only, max_args, needs, pag.arg_probs)
+        if plf is not None:
+            return plf
+    pgf = pag_to_pgf(pag, max_args=max_args)
+    return plf_with_semantics(pgf, semantics, weights, legal_only, max_args)
+
+
 def extension_probability(
     pag: PAG,
     semantics: Semantics,
@@ -641,11 +830,20 @@ def extension_probability(
     unknown = target - set(pag.graph.arguments)
     if unknown:
         raise KeyError(f"unknown argument ids: {sorted(unknown)}")
+    graph, bit = pag.graph, pag.graph._bit
+    every = range(len(bit))
+    wanted = sum(map(bit.__getitem__, target))
 
     def extends(subset: FrozenSet[str]) -> bool:
-        return target <= subset and any(
-            labelling.with_label(ArgLabel.IN) == target
-            for labelling in subgraph_labellings(pag.graph, subset, semantics, max_args)
+        """Whether some labelling of the subgraph has exactly ``target`` IN,
+        read off its label rows at every position as an IN mask."""
+        if not target <= subset:
+            return False
+        rows = label_rows(graph, sum(map(bit.__getitem__, subset)), semantics, every)
+        return any(
+            sum(1 << j for j, label in enumerate(row) if label is ArgLabel.IN) == wanted
+            for row in rows
         )
 
+    # pag_to_pgf checks the whole graph's cap, which bounds every subgraph
     return pag_to_pgf(pag, max_args=max_args).probs.map(extends).get(True, ZERO)

@@ -602,6 +602,61 @@ def test_weights_naming_an_unknown_argument_exit_2(theory_file, tmp_path, capsys
     assert capsys.readouterr().err == "validation error: weights name unknown arguments ['zz()']\n"
 
 
+def test_weights_error_of_a_subgraph_comes_before_a_later_subgraphs_cap(tmp_path, capsys):
+    """Each subgraph's weights are read off as soon as it is labelled: the
+    first subgraph, of 3 arguments, has weights summing to 2 over its 16 cf
+    labellings, and a later one, of 5, is over the cap of 4."""
+    theory = tmp_path / "t.dl"
+    theory.write_text(
+        "r0 : => a.\nr1 : => a.\ns0 : => a2.\ns1 : => a2.\ns2 : => a2.\n"
+        "p(s1) = 1/4.\np(s2) = 1/4.\n"
+    )
+    weights = tmp_path / "w"
+    weights.write_text("{r0()=IN, r1()=IN, s0()=IN} : 1.\n")
+    code = main(["marginal", str(theory), "--semantics", "cf", "--weights", str(weights),
+                 "--max-args-enum", "4", "--target", "arg:r0()"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("validation error: weights [Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)")
+    assert err.endswith("] do not sum to 1 over 16 labellings\n")
+
+
+@pytest.mark.parametrize("frame", ["independent", "pag"])
+def test_grouped_frames_build_no_joint_subgraph_distribution(
+    mutual_file, tmp_path, capsys, monkeypatch, frame
+):
+    """``marginal`` on the ``independent`` and ``pag:`` frames builds them
+    group by group, with no call to ``pgf_from_ptf`` or ``pag_to_pgf``,
+    unless a weight entry sends it through the joint composition."""
+    import arglab.frames
+
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("pgf_from_ptf", "pag_to_pgf"):
+        counted = counting(name, getattr(arglab.frames, name))
+        monkeypatch.setattr(arglab.frames, name, counted)
+        monkeypatch.setattr(f"arglab.cli.{name}", counted, raising=False)
+    pag_file = tmp_path / "pag.dl"
+    pag_file.write_text("rb() : 1/2.\nrc() : 1/3.\n")
+    argv = ["marginal", mutual_file, "--semantics", "preferred"]
+    if frame == "pag":
+        argv += ["--frame", f"pag:{pag_file}"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["arguments"]
+    assert calls == []
+    weights = tmp_path / "w"
+    weights.write_text("{rb()=IN} : 1.\n")
+    code, out = run(capsys, *argv, "--weights", str(weights))
+    assert code == 0
+    assert calls == ["pgf_from_ptf" if frame == "independent" else "pag_to_pgf"]
+
+
 def test_legal_only_needs_combined_labels(theory_file, capsys):
     """--legal-only picks the subgraphs of {IN,OUT,UN,OFF} labellings; inoutun has none."""
     argv = ["label", theory_file, "--semantics", "complete", "--legal-only"]

@@ -21,7 +21,11 @@ marginal tables folded one labelling at a time through ``label()`` and
 frame that labels every subgraph of the support whole and sums over them all,
 which the frame factored over the graph's components replaced; the graph's
 components found by a search from each argument; the joint probability
-that scans every labelling of that whole frame; the checking public
+that scans every labelling of that whole frame; the joint composition
+``ptf_independent``, ``pgf_from_ptf`` (or ``pag_to_pgf``) and
+``plf_with_semantics``, which the frames built group by group replaced; the
+walk over every subgraph of an argument frame with ``subgraph_labellings``,
+which ``extension_probability`` reading label rows replaced; the checking public
 constructor, which the graphs handed over by their builders skip, and the
 sorted attack pairs, which bucketing by attacker replaced; each part's whole
 labellings cut to its component's positions, which the label rows at those
@@ -76,6 +80,7 @@ from arglab import (
     build_graph,
     close_conflicts,
     derive_attacks,
+    extension_probability,
     grounded_labelling,
     induced_subgraph,
     is_legal,
@@ -88,8 +93,10 @@ from arglab import (
     pef_from_plf,
     pgf_from_plf,
     pgf_from_ptf,
+    plf_from_pag,
     plf_from_pef,
     plf_from_pgf,
+    plf_independent,
     plf_with_semantics,
     ptf_independent,
     statement_label,
@@ -1276,6 +1283,156 @@ def test_frame_over_a_drawn_distribution_factors_over_the_components(
     _assert_same_frame(got, _frame_or_error(lambda: full_plf_with_semantics(pgf, semantics)))
     if isinstance(got, PLF):
         assert _factor_sets(got) == blocks
+
+
+@st.composite
+def grouped_theories(draw):
+    """Two theories side by side, and sometimes a gadget on atoms of its own:
+    ``t0 : => e.`` and ``t1 : => e.`` under ``t2 : e => f.``, whose two
+    arguments for ``f`` lie in two components sharing the rule ``t2``, one
+    group when ``t2`` is uncertain; ``t3 : => -f.`` sometimes joins them
+    into one component by rebutting both."""
+    theory = draw(theories(max_rules=3, union=True))
+    if not draw(st.booleans()):
+        return theory
+    e, f = lit("e"), lit("f")
+    gadget = {
+        "t0": Rule("t0", (), frozenset(), e),
+        "t1": Rule("t1", (), frozenset(), e),
+        "t2": Rule("t2", (e,), frozenset(), f),
+    }
+    if draw(st.booleans()):
+        gadget["t3"] = Rule("t3", (), frozenset(), lit("-f"))
+    chances = {rid: draw(probabilities) for rid in gadget}
+    return DefeasibleTheory(
+        {**theory.rules, **gadget}, theory.conflicts, theory.superiority,
+        {**theory.rule_probs, **chances},
+    )
+
+
+def _group_count(plf):
+    return len(plf._factors.groups) if isinstance(plf, PLF) else None
+
+
+@given(grouped_theories(), policies, st.sampled_from(list(Semantics)), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grouped_frames_match_the_joint_composition(theory, policy, semantics, legal_only, data):
+    """``plf_independent`` and ``plf_from_pag`` against the composition they
+    replace, on several components, components sharing an uncertain rule, p
+    in {0, 1}, the empty graph, every semantics, ``legal_only``, weights and
+    caps of 2, 4 and 16: the same frame, or the same error."""
+    graph = capped_graph(theory, policy, max_args=10)
+    max_args = data.draw(st.sampled_from([2, 4, 16]))
+    if data.draw(st.booleans()):
+        source = "independent"
+        pgf = pgf_from_ptf(ptf_independent(theory), policy=policy)
+        weights = data.draw(sublabelling_weights(pgf, semantics))
+        got = _frame_or_error(
+            lambda: plf_independent(theory, semantics, policy, weights, legal_only, max_args)
+        )
+        expect = _frame_or_error(
+            lambda: plf_with_semantics(
+                pgf_from_ptf(ptf_independent(theory), policy=policy),
+                semantics, weights, legal_only, max_args,
+            )
+        )
+    else:
+        source = "pag"
+        pag = PAG(graph.without_sub_edges(), {a: data.draw(probabilities) for a in graph.ids()})
+        weights = (
+            data.draw(sublabelling_weights(pag_to_pgf(pag), semantics))
+            if len(graph.arguments) <= 16 else SublabellingWeights()
+        )
+        got = _frame_or_error(lambda: plf_from_pag(pag, semantics, weights, legal_only, max_args))
+        expect = _frame_or_error(
+            lambda: plf_with_semantics(
+                pag_to_pgf(pag, max_args), semantics, weights, legal_only, max_args
+            )
+        )
+    _assert_same_frame(got, expect)
+    if isinstance(got, PLF):
+        assert got.spec == expect.spec
+        if not weights.entries and graph.ids():
+            assert _factor_sets(got) == graph_components(got.graph)
+        groups = _group_count(got)
+        event(f"{source}: {groups} groups over {len(got._factors.positions)} factors")
+    else:
+        event(f"{source}: {got[0].__name__}")
+
+
+def test_grouped_frames_on_the_empty_graph():
+    """A theory with no argument: one factor over no position, one group."""
+    theory = DefeasibleTheory(
+        {"r0": Rule("r0", (lit("a"),), frozenset(), lit("b"))}, frozenset(), frozenset(),
+        {"r0": F(1, 2)},
+    )
+    graph = build_graph(theory)
+    pag = PAG(graph, {})
+    for semantics in Semantics:
+        got = plf_independent(theory, semantics)
+        _assert_same_frame(got, plf_with_semantics(pgf_from_ptf(ptf_independent(theory)), semantics))
+        _assert_same_frame(plf_from_pag(pag, semantics), plf_with_semantics(pag_to_pgf(pag), semantics))
+        assert got._factors.positions == ((),) and _group_count(got) == 1
+
+
+def test_components_sharing_an_uncertain_rule_are_one_group():
+    """``x1`` and ``x2`` both conclude ``x``; ``y`` builds on each, so its two
+    arguments lie in two components, one group, which enumerates ``x1`` and
+    ``y`` alone: the certain ``x2``, the ``p = 0`` rule ``z`` and the unused
+    uncertain ``u`` are not branched on."""
+    theory = DefeasibleTheory(
+        {
+            "x1": Rule("x1", (), frozenset(), lit("x")),
+            "x2": Rule("x2", (), frozenset(), lit("x")),
+            "y": Rule("y", (lit("x"),), frozenset(), lit("g")),
+            "z": Rule("z", (), frozenset(), lit("h")),
+            "u": Rule("u", (lit("nothing"),), frozenset(), lit("k")),
+        },
+        frozenset(), frozenset(), {"x1": F(1, 3), "y": F(1, 2), "z": F(0), "u": F(1, 4)},
+    )
+    plf = plf_independent(theory, Semantics.GROUNDED)
+    ids = plf.graph.ids()
+    assert [[ids[j] for j in plf._factors.positions[i]] for i in (0, 1, 2)] == [
+        ["x1()", "y(x1())"], ["x2()", "y(x2())"], ["z()"],
+    ]
+    (shared, source), (alone, never) = plf._factors.groups
+    assert (shared, alone) == ((0, 1), (2,))
+    assert source.den == 6 and len(source) == 4
+    assert never.den == 1 and len(never) == 1
+    _assert_same_frame(
+        plf, plf_with_semantics(pgf_from_ptf(ptf_independent(theory)), Semantics.GROUNDED)
+    )
+
+
+def walked_extension_probability(pag, semantics, ids):
+    """Every subgraph of the argument frame, 2^n of them, each weighed as the
+    product of its members' and non-members' probabilities, labelled whole by
+    ``subgraph_labellings``."""
+    target = frozenset(ids)
+    graph, total = pag.graph, F(0)
+    for subset in map(frozenset, itertools.chain.from_iterable(
+        itertools.combinations(graph.ids(), k) for k in range(len(graph.ids()) + 1)
+    )):
+        if target <= subset and any(
+            l.with_label(ArgLabel.IN) == target
+            for l in subgraph_labellings(graph, subset, semantics, 16)
+        ):
+            total += math.prod(
+                (p if a in subset else 1 - p for a, p in pag.arg_probs.items()), start=F(1)
+            )
+    return total
+
+
+@given(abstract_graphs(max_args=6), st.sampled_from(list(Semantics)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_extension_probability_matches_the_subgraph_walk(graph, semantics, data):
+    """Self-attacks and odd cycles included; the target is drawn from the
+    graph's ids, so it is often no IN set at all."""
+    pag = PAG(graph, {a: data.draw(probabilities) for a in graph.ids()})
+    target = data.draw(st.frozensets(st.sampled_from(graph.ids()), max_size=3))
+    got = extension_probability(pag, semantics, target)
+    assert type(got) is F
+    assert got == walked_extension_probability(pag, semantics, target)
 
 
 def pairs_pgf(n):
