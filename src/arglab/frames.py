@@ -605,7 +605,9 @@ def plf_with_semantics(
     keeps the subgraph distribution keyed by each subgraph's parts.  The
     admissibility test and the enumeration cap still apply to each whole
     support subgraph, in the distribution's order, and the subgraph named
-    for having no labelling is the first with a part that has none.
+    for having no labelling is the first with a part that has none.  Its
+    weights are read off as soon as it is labelled, so the first subgraph
+    refused for any reason is the one named.
     """
     weights = weights or _UNWEIGHTED
     graph = pgf.graph
