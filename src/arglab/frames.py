@@ -605,9 +605,9 @@ def plf_with_semantics(
     keeps the subgraph distribution keyed by each subgraph's parts.  The
     admissibility test and the enumeration cap still apply to each whole
     support subgraph, in the distribution's order, and the subgraph named
-    for having no labelling is the first with a part that has none.  Its
-    weights are read off as soon as it is labelled, so the first subgraph
-    refused for any reason is the one named.
+    for having no labelling is the first with a part that has none.  Each
+    subgraph's weights are read off as soon as it is labelled, so the first
+    subgraph refused for any reason is the one named.
     """
     weights = weights or _UNWEIGHTED
     graph = pgf.graph
@@ -807,10 +807,12 @@ def plf_from_pag(
     The whole graph's cap is checked first, as :func:`pag_to_pgf` checks it.
     An argument with p = 0 is never present, and one with 0 < p < 1 needs
     itself.  With weights, or ``legal_only`` (rule-completeness reads rules
-    used anywhere in a subgraph, not one component), or where
-    :func:`_grouped` refuses, the composition itself builds the frame.
+    used anywhere in a subgraph, not one component), or sub-edges in the
+    graph (each subgraph is then tested for subargument-completeness, which
+    independent presence does not give), or where :func:`_grouped` refuses,
+    the composition itself builds the frame.
     """
-    if not (weights and weights.entries or legal_only):
+    if not (weights and weights.entries or legal_only or pag.graph.sub_edges):
         check_cap(len(pag.graph.arguments), max_args)
         needs = {a: frozenset([a] if p < 1 else ()) for a, p in pag.arg_probs.items() if p}
         plf = _grouped(pag.graph, semantics, legal_only, max_args, needs, pag.arg_probs)

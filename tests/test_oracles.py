@@ -1319,8 +1319,9 @@ def _group_count(plf):
 def test_grouped_frames_match_the_joint_composition(theory, policy, semantics, legal_only, data):
     """``plf_independent`` and ``plf_from_pag`` against the composition they
     replace, on several components, components sharing an uncertain rule, p
-    in {0, 1}, the empty graph, every semantics, ``legal_only``, weights and
-    caps of 2, 4 and 16: the same frame, or the same error."""
+    in {0, 1}, the empty graph, every semantics, ``legal_only``, weights,
+    caps of 2, 4 and 16, and argument frames with and without sub-edges: the
+    same frame, or the same error."""
     graph = capped_graph(theory, policy, max_args=10)
     max_args = data.draw(st.sampled_from([2, 4, 16]))
     if data.draw(st.booleans()):
@@ -1338,7 +1339,9 @@ def test_grouped_frames_match_the_joint_composition(theory, policy, semantics, l
         )
     else:
         source = "pag"
-        pag = PAG(graph.without_sub_edges(), {a: data.draw(probabilities) for a in graph.ids()})
+        # the CLI drops sub-edges; a PAG built in the library may keep them
+        abstract = graph if data.draw(st.booleans()) else graph.without_sub_edges()
+        pag = PAG(abstract, {a: data.draw(probabilities) for a in graph.ids()})
         weights = (
             data.draw(sublabelling_weights(pag_to_pgf(pag), semantics))
             if len(graph.arguments) <= 16 else SublabellingWeights()
@@ -1352,6 +1355,13 @@ def test_grouped_frames_match_the_joint_composition(theory, policy, semantics, l
     _assert_same_frame(got, expect)
     if isinstance(got, PLF):
         assert got.spec == expect.spec
+        ids = got.graph.ids()
+        labels = sorted(got.spec.label_set.labels, key=lambda l: l.rank)
+        for _ in range(3):
+            assignment = data.draw(
+                st.dictionaries(st.sampled_from(ids), st.sampled_from(labels), max_size=3)
+            ) if ids else {}
+            assert joint_probability(got, assignment) == scanned_joint_probability(expect, assignment)
         if not weights.entries and graph.ids():
             assert _factor_sets(got) == graph_components(got.graph)
         groups = _group_count(got)
@@ -1373,6 +1383,23 @@ def test_grouped_frames_on_the_empty_graph():
         _assert_same_frame(got, plf_with_semantics(pgf_from_ptf(ptf_independent(theory)), semantics))
         _assert_same_frame(plf_from_pag(pag, semantics), plf_with_semantics(pag_to_pgf(pag), semantics))
         assert got._factors.positions == ((),) and _group_count(got) == 1
+
+
+def test_argument_frame_with_sub_edges_is_refused_as_the_composition_refuses_it():
+    """A PAG built in the library may keep its graph's sub-edges: the subgraph
+    holding ``r1(r0())`` without ``r0()`` is not subargument-complete."""
+    theory = DefeasibleTheory(
+        {
+            "r0": Rule("r0", (), frozenset(), lit("a")),
+            "r1": Rule("r1", (lit("a"),), frozenset(), lit("b")),
+        },
+        frozenset(), frozenset(), {},
+    )
+    graph = build_graph(theory)
+    pag = PAG(graph, {a: F(1, 2) for a in graph.ids()})
+    expect = (DistributionError, "subgraph ['r1(r0())'] is not subargument-complete")
+    assert _frame_or_error(lambda: plf_from_pag(pag, Semantics.GROUNDED)) == expect
+    assert _frame_or_error(lambda: plf_with_semantics(pag_to_pgf(pag), Semantics.GROUNDED)) == expect
 
 
 def test_components_sharing_an_uncertain_rule_are_one_group():
