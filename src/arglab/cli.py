@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -62,8 +61,9 @@ from .semantics import (
     MAX_ENUM_ARGUMENTS,
     LabellingSpec,
     Semantics,
+    check_cap,
+    label_rows,
     labellings,
-    subgraph_labellings,
 )
 
 SCHEMA = 1
@@ -290,13 +290,17 @@ def _build_plf(args, theory) -> PLF:
 def _check_labellings(plf: PLF, semantics: Semantics, max_args: int) -> None:
     """Refuse the first labelling of the frame that is not a ``semantics``
     labelling of its non-OFF arguments.  Labellings sharing their non-OFF
-    arguments share one enumeration of that subgraph's labellings."""
-    found: Dict[Tuple[str, ...], Set[Tuple[ArgLabel, ...]]] = {}
+    arguments, keyed by the mask of them, share one set of that subgraph's
+    label rows at every position."""
+    graph = plf.graph
+    bits = graph._bit.values()
+    every = range(len(bits))
+    found: Dict[int, Set[Tuple[ArgLabel, ...]]] = {}
     for labelling in plf.probs:
-        present = tuple(a for a, l in labelling.entries if l is not ArgLabel.OFF)
+        present = sum(b for b, l in zip(bits, labelling.labels) if l is not ArgLabel.OFF)
         if present not in found:
-            inner = subgraph_labellings(plf.graph, present, semantics, max_args)
-            found[present] = {l.labels for l in inner}
+            check_cap(present.bit_count(), max_args)
+            found[present] = set(label_rows(graph, present, semantics, every))
         if labelling.labels not in found[present]:
             raise DistributionError(
                 f"labelling {labelling} is not a {semantics.value} labelling "
@@ -433,7 +437,16 @@ def cmd_check(args, theory) -> Result:
         "frame": args.frame,
         "semantics": _semantics_field(plf),
         "ok": report.ok,
-        "properties": [asdict(r) for r in report.results],
+        "properties": [
+            {
+                "name": r.name,
+                "applicable": r.applicable,
+                "holds": r.holds,
+                "mandatory": r.mandatory,
+                "violations": r.violations,
+            }
+            for r in report.results
+        ],
         "justification": {
             a: justification_from_plf(plf, a).value for a in plf.graph.ids()
         },

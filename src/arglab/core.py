@@ -184,6 +184,22 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
+def _connected(links: Iterable[int]) -> List[int]:
+    """The connected pieces of ``links``, each link a bitmask of positions
+    joined to each other, as bitmasks: each link is merged with every piece
+    found so far that it meets."""
+    found: List[int] = []
+    for link in links:
+        rest = []
+        for piece in found:
+            if piece & link:
+                link |= piece
+            else:
+                rest.append(piece)
+        found = rest + [link]
+    return found
+
+
 @dataclass(frozen=True)
 class ArgumentationGraph:
     """Arguments plus attack and direct-subargument edges over their ids.
@@ -197,7 +213,8 @@ class ArgumentationGraph:
     use: ``attackers`` maps each id to the frozenset of its attackers, and
     :meth:`ids` is the sorted id tuple.  The labelling search reads the same
     index as bitmasks, :attr:`attacker_masks`, bit j standing for
-    ``ids()[j]``, and labelling frames factor over :attr:`components`.
+    ``ids()[j]``, labelling frames factor over :attr:`components`, and
+    :attr:`_piece_in_masks` keeps the search's results for every subgraph.
     """
 
     arguments: Mapping[str, Argument]
@@ -302,23 +319,21 @@ class ArgumentationGraph:
         and sub-edges, ascending, the components ordered by their first position.
 
         No attack or sub-edge crosses a component.  Each argument with its
-        attackers, and each sub-edge's two ends, is a link, merged with every
-        component found so far that it meets.
+        attackers, and each sub-edge's two ends, is a link (:func:`_connected`).
         """
         bit = self._bit
         links = [mask | 1 << j for j, mask in enumerate(self.attacker_masks)]
         links += [bit[b] | bit[a] for b, a in self.sub_edges]
-        found: List[int] = []
-        for link in links:
-            rest = []
-            for component in found:
-                if component & link:
-                    link |= component
-                else:
-                    rest.append(component)
-            found = rest + [link]
+        found = _connected(links)
         found.sort(key=lambda component: component & -component)
         return tuple(tuple(_bits(component)) for component in found)
+
+    @cached_property
+    def _piece_in_masks(self) -> Dict[Tuple[bool, int], List[int]]:
+        """The labelling search's memo, filled by :func:`semantics.label_rows`:
+        for (preferred or not, a piece's mask), the IN-sets of the complete
+        (or preferred) labellings of the subgraph on that piece alone."""
+        return {}
 
     def without_sub_edges(self) -> "ArgumentationGraph":
         """Abstract view of the graph, subargument structure dropped; what is

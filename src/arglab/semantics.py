@@ -15,6 +15,8 @@ over all present arguments, complete, preferred and stable ones over the
 arguments the grounded labelling leaves UN, since every complete labelling
 agrees with the grounded one on its IN and OUT arguments; preferred ones are
 the complete ones with a maximal IN-set, stable ones those with nothing UN.
+Those grounded-UN arguments are searched piece by piece, each connected piece
+of the attacks among them once per graph (see :func:`label_rows`).
 {ON, OFF} labellings, the subgraphs of combined labellings and {IN, OUT, UN}
 assignments without a semantics are enumerated exhaustively: 2^n subsets or
 3^n assignments for n arguments.  Every enumeration is capped at
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits, _rank_key
+from .core import ArgLabel, ArgumentationGraph, Labelling, LabelSet, _bits, _connected, _rank_key
 from .construct import is_legal, is_rule_complete, is_subargument_complete
 from .errors import CapExceededError
 
@@ -237,16 +239,40 @@ def label_rows(
     Every present argument must lie at ``positions``, ascending: the rows are
     then the subgraph's labellings cut to those positions, one row each, in
     the order of :meth:`Labelling.sort_key`.  No cap is checked.
+
+    Complete, preferred and stable rows are searched piece by piece.  The
+    arguments the grounded labelling leaves UN split into connected pieces of
+    the attacks among them.  A grounded-UN argument is attacked only by
+    grounded-OUT, absent or grounded-UN arguments, and the grounded-UN ones
+    lie in its own piece; so each piece's labels depend on that piece alone,
+    whatever else is present.  The complete IN-sets are then grounded IN
+    joined with one complete IN-set of each piece labelled alone, every
+    combination once, and the preferred ones are those joined from each
+    piece's maximal sets.  Each piece's sets are searched once per graph
+    and semantics, kept in ``graph._piece_in_masks``, and shared by every
+    subgraph whose search meets the same piece.
     """
     att = graph.attacker_masks
-    absent = ((1 << len(att)) - 1) ^ present
+    full = (1 << len(att)) - 1
+    absent = full ^ present
     if semantics is Semantics.CF:
         return sorted(_cf_labels(att, absent, positions), key=_rank_key)
+    g_in, g_out = _grounded_masks(att, absent)
     if semantics is Semantics.GROUNDED:
-        return [_in_set_labels(att, _grounded_masks(att, absent)[0], absent, positions)]
-    in_sets = _complete_in_masks(att, absent)
-    if semantics is Semantics.PREFERRED:
-        in_sets = _maximal(in_sets)
+        return [_in_set_labels(att, g_in, absent, positions)]
+    preferred = semantics is Semantics.PREFERRED
+    memo = graph._piece_in_masks
+    undecided = full & ~(g_in | g_out)
+    in_sets = [g_in]
+    for piece in _connected(att[i] & undecided | 1 << i for i in _bits(undecided)):
+        key = (preferred, piece)
+        choices = memo.get(key)
+        if choices is None:
+            choices = _complete_in_masks(att, full ^ piece)
+            if preferred:
+                choices = _maximal(choices)
+            memo[key] = choices
+        in_sets = [s | t for s in in_sets for t in choices]
     rows = [_in_set_labels(att, s, absent, positions) for s in in_sets]
     if semantics is Semantics.STABLE:  # nothing left UN
         rows = [row for row in rows if _UN not in row]

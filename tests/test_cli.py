@@ -575,13 +575,13 @@ def test_plf_frame_labels_each_subgraph_once(mutual_file, tmp_path, capsys, monk
     import arglab.cli
 
     calls = []
-    real = arglab.cli.subgraph_labellings
+    real = arglab.cli.label_rows
 
-    def counted(graph, subset, semantics, max_args):
-        calls.append(tuple(subset))
-        return real(graph, subset, semantics, max_args)
+    def counted(graph, present, semantics, positions):
+        calls.append(tuple(a for j, a in enumerate(graph.ids()) if present >> j & 1))
+        return real(graph, present, semantics, positions)
 
-    monkeypatch.setattr(arglab.cli, "subgraph_labellings", counted)
+    monkeypatch.setattr(arglab.cli, "label_rows", counted)
     argv = ["marginal", mutual_file, "--frame", f"plf:{frame}"]
     assert run(capsys, *argv, "--semantics", "complete")[0] == 0
     assert calls == [("rb()", "rc()"), ("rb()",)]

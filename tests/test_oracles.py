@@ -29,7 +29,9 @@ which ``extension_probability`` reading label rows replaced; the checking public
 constructor, which the graphs handed over by their builders skip, and the
 sorted attack pairs, which bucketing by attacker replaced; each part's whole
 labellings cut to its component's positions, which the label rows at those
-positions replaced; and the marginal report built from the library's
+positions replaced; every subgraph searched whole, which the search of its
+undecided pieces, each kept once per graph, replaced; and the marginal
+report built from the library's
 ``Fraction`` results and written by ``json.dumps``, which the report written
 from integer rows replaced.
 Results must agree exactly, under both preference policies.
@@ -967,6 +969,57 @@ def test_subgraph_labellings_match_pasted_brute_force_on_theory_graphs(theory, p
     subset = data.draw(st.frozensets(st.sampled_from(graph.ids()))) if graph.ids() else frozenset()
     for semantics in Semantics:
         assert subgraph_labellings(graph, subset, semantics, 16) == _pasted(graph, subset, semantics)
+
+
+def _label_every_subset_in_a_drawn_order(graph, data):
+    """Every subset of ``graph``, in a drawn order, each under complete,
+    preferred and stable in a drawn order, against the pasted brute force.
+    The pieces one subset and semantics search are kept in the graph's memo
+    and read back by every later subset and semantics that meets them."""
+    ids = graph.ids()
+    every = range(len(ids))
+    subsets = [frozenset(s) for k in range(len(ids) + 1) for s in itertools.combinations(ids, k)]
+    searched = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.STABLE)
+    for subset in data.draw(st.permutations(subsets)):
+        present = sum(1 << j for j, a in enumerate(ids) if a in subset)
+        for semantics in data.draw(st.permutations(searched)):
+            rows = label_rows(graph, present, semantics, every)
+            assert rows == [l.labels for l in _pasted(graph, subset, semantics)]
+
+
+@given(abstract_graphs(max_args=6), theories(max_rules=5), policies, st.data())
+@settings(max_examples=150, deadline=None)
+def test_label_rows_shared_across_subsets_match_pasted_brute_force(graph, theory, policy, data):
+    """One abstract graph, with self-attacks and odd cycles, and one theory
+    graph: the memo of pieces is shared across all of each graph's subsets
+    and across the three searched semantics."""
+    _label_every_subset_in_a_drawn_order(graph, data)
+    _label_every_subset_in_a_drawn_order(capped_graph(theory, policy, max_args=6), data)
+
+
+def test_parts_sharing_a_piece_search_it_once(monkeypatch):
+    """Two parts, one with the unattacked r2() and one without, leave the
+    same piece undecided: the mutual attack of r0() and r1().  Its IN-sets
+    are searched once for preferred and once for complete and stable, on the
+    piece alone, and read from the graph's memo by every later part."""
+    args = {f"r{i}()": Argument(f"r{i}", lit(f"a{i}")) for i in range(3)}
+    graph = ArgumentationGraph(args, frozenset({("r0()", "r1()"), ("r1()", "r0()")}), frozenset())
+    real = semantics_module._complete_in_masks
+    searched = []
+
+    def counted(att, absent):
+        searched.append(absent)
+        return real(att, absent)
+
+    monkeypatch.setattr(semantics_module, "_complete_in_masks", counted)
+    every = range(3)
+    parts = {0b011: frozenset({"r0()", "r1()"}), 0b111: frozenset(args)}
+    for semantics in (Semantics.PREFERRED, Semantics.COMPLETE, Semantics.STABLE):
+        for present, subset in parts.items():
+            rows = label_rows(graph, present, semantics, every)
+            assert rows == [l.labels for l in _pasted(graph, subset, semantics)]
+    assert searched == [0b100, 0b100]  # everything outside the piece absent
+    assert graph._piece_in_masks == {(True, 0b011): [0b010, 0b001], (False, 0b011): [0, 0b010, 0b001]}
 
 
 @given(theories(), policies, st.data())

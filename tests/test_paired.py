@@ -1,5 +1,6 @@
 """``tools/paired.py`` answers a query the way ``perfbench/run.py`` does:
-exit code, stdout and stderr, with a crash recorded as exit -1."""
+exit code, stdout and stderr, with a crash recorded as exit -1; and it reads
+the tail and the slowest items of its timings."""
 
 import importlib.util
 import json
@@ -61,3 +62,26 @@ def test_src_lines_counts_the_package_modules_alone(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "__pycache__" / "c.py").write_text("nested\n")
     assert _paired().src_lines(tmp_path) == 5
+
+
+def test_slowest_lists_the_items_slowest_on_base_with_both_minima():
+    paired = _paired()
+    minima = {"base": [1.0, 4.0, 2.0, 4.0, 3.0], "head": [1.0, 2.0, 3.0, 1.0, 3.0]}
+    assert paired.slowest(minima, count=3) == [
+        {"item": 1, "base": 4.0, "head": 2.0, "ratio": 0.5},
+        {"item": 3, "base": 4.0, "head": 1.0, "ratio": 0.25},
+        {"item": 4, "base": 3.0, "head": 3.0, "ratio": 1.0},
+    ]
+    assert len(paired.slowest({"base": [1.0] * 12, "head": [1.0] * 12})) == paired.SLOWEST == 10
+
+
+def test_tail_s_reads_every_wall_with_perfbench_tail():
+    paired = _paired()
+    # 3 items x 5 rounds: 15 walls, so the tail is the 5th smallest, the
+    # highest value with ten beyond it, as perfbench/run.py reads it
+    walls = {
+        "base": [[0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 1.1, 1.2, 1.3, 1.4], [2.0, 2.1, 2.2, 2.3, 2.4]],
+        "head": [[0.5], [0.7]],
+    }
+    assert paired.tail_s(walls) == {"base": 0.5, "head": 0.7}
+    assert paired.perfbench.tail([0.1, 0.2, 0.3, 0.4, 0.5] + [1.0] * 10) == (0.5, 100.0 * 5 / 15)

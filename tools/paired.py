@@ -18,7 +18,10 @@ one side is reported as a difference.
 Per query, each side's minimum wall time over the rounds is kept; the report
 gives the quartiles of head/base over those minima and the throughput ratio
 (base seconds over head seconds, so above 1 means head answers more queries
-per second), over all rounds and per round.
+per second), over all rounds and per round.  ``slowest`` lists the pool
+items slowest on base by that minimum, each with both sides' minima and
+head/base; ``tail_s`` gives each side's tail over every wall it timed, by
+``perfbench/run.py``'s own ``tail()``, as ``query_s.tail`` reads it.
 
 Start-up is timed apart, in fresh interpreters: ``perfbench/run.py``'s own
 ``SETUP_CODE`` imports ``arglab.cli`` from each checkout's ``src`` and builds
@@ -53,6 +56,7 @@ import run as perfbench  # noqa: E402  (perfbench/run.py, read only)
 QUERIES = 200  # pool items timed, from item 0
 ROUNDS = 3
 STARTS = 20  # fresh-interpreter starts timed per side
+SLOWEST = 10  # pool items listed in ``slowest``
 
 
 def load_cli(checkout: Path, name: str):
@@ -127,6 +131,19 @@ def quartiles(values: List[float]) -> Dict[str, float]:
     return {"min": min(values), "q1": q1, "median": median, "q3": q3, "max": max(values)}
 
 
+def slowest(minima: Dict[str, List[float]], count: int = SLOWEST) -> List[Dict[str, float]]:
+    """The ``count`` pool items with the largest base minima, slowest first
+    (ties in pool order): each item's index, both minima and head/base."""
+    base, head = minima["base"], minima["head"]
+    items = sorted(range(len(base)), key=base.__getitem__, reverse=True)[:count]
+    return [{"item": i, "base": base[i], "head": head[i], "ratio": head[i] / base[i]} for i in items]
+
+
+def tail_s(walls: Dict[str, List[List[float]]]) -> Dict[str, float]:
+    """Each side's ``perfbench`` tail over every wall it timed, all rounds."""
+    return {side: perfbench.tail([w for per in timed for w in per])[0] for side, timed in walls.items()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout root of the base")
@@ -170,6 +187,8 @@ def main() -> int:
         "throughput_ratio": total["base"] / total["head"],
         "throughput_ratio_per_round": [s["base"] / s["head"] for s in round_s],
         "queries_per_s": {side: count * ROUNDS / total[side] for side in sides},
+        "tail_s": tail_s(walls),
+        "slowest": slowest(minima),
         "setup_s": startup(checkouts),
         "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()},
     }
