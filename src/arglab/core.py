@@ -214,7 +214,7 @@ class ArgumentationGraph:
     :meth:`ids` is the sorted id tuple.  The labelling search reads the same
     index as bitmasks, :attr:`attacker_masks`, bit j standing for
     ``ids()[j]``, labelling frames factor over :attr:`components`, and
-    :attr:`_piece_in_masks` keeps the search's results for every subgraph.
+    :attr:`_piece_in_masks` keeps the IN-sets the search finds for each piece.
     """
 
     arguments: Mapping[str, Argument]
@@ -329,7 +329,7 @@ class ArgumentationGraph:
         return tuple(tuple(_bits(component)) for component in found)
 
     @cached_property
-    def _piece_in_masks(self) -> Dict[Tuple[bool, int], List[int]]:
+    def _piece_in_masks(self) -> Dict[Tuple[bool, int], Tuple[int, ...]]:
         """The labelling search's memo, filled by :func:`semantics.label_rows`:
         for (preferred or not, a piece's mask), the IN-sets of the complete
         (or preferred) labellings of the subgraph on that piece alone."""

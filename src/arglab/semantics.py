@@ -269,9 +269,7 @@ def label_rows(
         choices = memo.get(key)
         if choices is None:
             choices = _complete_in_masks(att, full ^ piece)
-            if preferred:
-                choices = _maximal(choices)
-            memo[key] = choices
+            memo[key] = choices = tuple(_maximal(choices) if preferred else choices)
         in_sets = [s | t for s in in_sets for t in choices]
     rows = [_in_set_labels(att, s, absent, positions) for s in in_sets]
     if semantics is Semantics.STABLE:  # nothing left UN

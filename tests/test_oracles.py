@@ -1019,7 +1019,7 @@ def test_parts_sharing_a_piece_search_it_once(monkeypatch):
             rows = label_rows(graph, present, semantics, every)
             assert rows == [l.labels for l in _pasted(graph, subset, semantics)]
     assert searched == [0b100, 0b100]  # everything outside the piece absent
-    assert graph._piece_in_masks == {(True, 0b011): [0b010, 0b001], (False, 0b011): [0, 0b010, 0b001]}
+    assert graph._piece_in_masks == {(True, 0b011): (0b010, 0b001), (False, 0b011): (0, 0b010, 0b001)}
 
 
 @given(theories(), policies, st.data())
