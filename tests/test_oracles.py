@@ -29,9 +29,7 @@ which ``extension_probability`` reading label rows replaced; the checking public
 constructor, which the graphs handed over by their builders skip, and the
 sorted attack pairs, which bucketing by attacker replaced; each part's whole
 labellings cut to its component's positions, which the label rows at those
-positions replaced; every subgraph searched whole, which the search of its
-undecided pieces, each kept once per graph, replaced; and the marginal
-report built from the library's
+positions replaced; and the marginal report built from the library's
 ``Fraction`` results and written by ``json.dumps``, which the report written
 from integer rows replaced.
 Results must agree exactly, under both preference policies.

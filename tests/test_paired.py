@@ -84,4 +84,3 @@ def test_tail_s_reads_every_wall_with_perfbench_tail():
         "head": [[0.5], [0.7]],
     }
     assert paired.tail_s(walls) == {"base": 0.5, "head": 0.7}
-    assert paired.perfbench.tail([0.1, 0.2, 0.3, 0.4, 0.5] + [1.0] * 10) == (0.5, 100.0 * 5 / 15)
